@@ -1,8 +1,10 @@
 """Command line front end.
 
-`phasefrac run ...` marches one benchmark and writes qoi.csv,
-config.echo and optional VTK snapshots into the output directory.
-`phasefrac bench ...` times the assembly kernels in both backends.
+`phasefrac run ...` marches one benchmark preset and, with ``--out``,
+writes qoi.csv, config.echo and optional VTK snapshots into the output
+directory.  Options come from a flat ``key = value`` file (``--config``)
+with command-line flags taking precedence.  Solver benchmarks live in
+``perfbench/``, outside the package.
 
 Exit codes: 0 all increments converged, 2 configuration error,
 3 solver non-convergence.
@@ -92,7 +94,6 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--increments", type=int)
     p.add_argument("--out", help="output directory")
     p.add_argument("--split", choices=("none", "spectral"))
-    p.add_argument("--plane", choices=("strain", "stress"))
     p.add_argument("--k-n", type=float, dest="k_n", help="increment size")
     p.add_argument("--vtk-every", type=int, dest="vtk_every")
     p.add_argument("--linearization", choices=("extrapolate", "previous"))
@@ -110,7 +111,7 @@ def run_command(args: argparse.Namespace) -> int:
     cli_values = {}
     for flag in (
         "benchmark", "case", "itl", "global_refines", "local_refines",
-        "tol_newton", "tol_itl", "increments", "out", "split", "plane",
+        "tol_newton", "tol_itl", "increments", "out", "split",
         "k_n", "vtk_every", "linearization",
     ):
         value = getattr(args, flag)
@@ -185,13 +186,6 @@ def run_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def bench_command(args: argparse.Namespace) -> int:
-    from .bench import run_benchmark
-
-    run_benchmark(args.refines, args.repeats)
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _setup_logging()
     parser = argparse.ArgumentParser(prog="phasefrac")
@@ -200,11 +194,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_p = sub.add_parser("run", help="march one benchmark")
     _add_run_arguments(run_p)
     run_p.set_defaults(func=run_command)
-
-    bench_p = sub.add_parser("bench", help="time assembly kernels")
-    bench_p.add_argument("--refines", type=int, default=4)
-    bench_p.add_argument("--repeats", type=int, default=3)
-    bench_p.set_defaults(func=bench_command)
 
     try:
         args = parser.parse_args(argv)

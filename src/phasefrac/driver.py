@@ -38,14 +38,12 @@ class RunConfig:
     linearization: str = LINEARIZE_EXTRAPOLATE  # used when itl_mode == "none"
     tol_itl: float = 1.0e-1
     max_itl_iterations: int = 200
-    itl_literal_indexing: bool = False
     # None means "let the benchmark preset pick its default".
     k_n: Optional[float] = None
     n_increments: Optional[int] = None
     global_refines: Optional[int] = None
     local_refines: Optional[int] = None
     split: Optional[str] = None
-    plane: str = "strain"
     tol_newton: float = 1.0e-7
     case_c_constant: Optional[float] = None  # default 10 * E
     max_newton_iterations: int = 500
@@ -53,8 +51,6 @@ class RunConfig:
     out_dir: Optional[str] = None
     vtk_every: int = 0
     abort_on_nonconvergence: bool = False
-    load_stop_fraction: Optional[float] = None  # early stop on load collapse
-    degraded_load: bool = False
 
     def __post_init__(self):
         if self.itl_mode not in ITL_MODES:
@@ -73,8 +69,6 @@ class RunConfig:
                 raise ValueError(f"{key} must be >= 0")
         if self.split is not None and self.split not in ("none", "spectral"):
             raise ValueError("split must be 'none' or 'spectral'")
-        if self.plane not in ("strain", "stress"):
-            raise ValueError("plane must be 'strain' or 'stress'")
         if self.case not in (1, 2, 3, 4):
             raise ValueError("case must be 1, 2, 3, or 4")
 
@@ -141,7 +135,6 @@ def run_incremental_loop(
     records: List[QoiRecord] = []
     increments: List[IncrementResult] = []
     all_converged = True
-    peak_load = 0.0
 
     for step in range(1, config.n_increments + 1):
         t = step * config.k_n
@@ -155,10 +148,7 @@ def run_incremental_loop(
         have_history = phi_prev2 is not None
 
         def linearize(mode: str) -> np.ndarray:
-            if config.itl_literal_indexing and len(iterates) > 2:
-                latest, second = iterates[-2], iterates[-3]
-            else:
-                latest, second = iterates[-1], iterates[-2]
+            latest, second = iterates[-1], iterates[-2]
             if mode == "copy" or not have_history:
                 return latest.copy()
             return extrapolate_phase(latest, second, t, t_prev, t_prev2)
@@ -210,8 +200,7 @@ def run_incremental_loop(
         ec = crack_energy(mesh, dofmap, state, problem.params)
         if problem.load_marker is not None:
             lx, ly = boundary_load(
-                mesh, dofmap, state, problem.params, problem.load_marker,
-                degraded=config.degraded_load,
+                mesh, dofmap, state, problem.params, problem.load_marker
             )
         else:
             lx = ly = 0.0
@@ -247,11 +236,6 @@ def run_incremental_loop(
 
         if not converged and config.abort_on_nonconvergence:
             break
-        if config.load_stop_fraction is not None:
-            mag = float(np.hypot(lx, ly))
-            peak_load = max(peak_load, mag)
-            if peak_load > 0.0 and mag < config.load_stop_fraction * peak_load:
-                break
 
     return RunResult(records, increments, state, all_converged)
 

@@ -1,14 +1,11 @@
 """Element kernels for residual and Jacobian assembly.
 
-Two interchangeable implementations of the same per-cell math: numba
-``@njit`` loops (the default) and a vectorized pure-numpy fallback.  Set
-``PHASEFRAC_PURE_NUMPY=1`` before import to force the fallback; the
-``bench`` CLI subcommand times both on an identical mesh.
-
-The weak form is assembled per cell into dense 12x12 / 12-entry blocks
-(dof order ux0,uy0,...,ux3,uy3,phi0..phi3) which an :class:`AssemblyPlan`
-scatters into one fixed CSR pattern.  Stress uses Voigt triples
-(s11, s22, s12) acting on strain triples (e11, e22, 2*e12).
+One vectorized numpy implementation of the per-cell math, evaluated for
+all cells at once.  The weak form is assembled per cell into dense
+12x12 / 12-entry blocks (dof order ux0,uy0,...,ux3,uy3,phi0..phi3) which
+an :class:`AssemblyPlan` scatters into one fixed CSR pattern.  Stress
+uses Voigt triples (s11, s22, s12) acting on strain triples
+(e11, e22, 2*e12).
 
 Sign conventions of the assembled right-hand side F (the Newton residual):
 
@@ -21,11 +18,22 @@ the phase-field linearization phit and the strain eigenprojections held
 fixed (for the spectral split, eigenvector rotation enters through the
 frozen cross coefficient, so the block matrix remains the derivative of
 the assembled residual wherever the principal strains are distinct).
+
+Uniform fields must give residual rows that are exactly zero, not
+rounding noise: the active-set classification tests a strict inequality,
+so an intact, unloaded cell with sign noise in its phase-field rows
+would flip dofs in and out of the active set.  Two devices keep those
+rows exact.  The last column of every shape-function table is stored as
+the complement of the first three, so a uniform value sums to exactly 1
+and a uniform gradient to exactly 0; and :func:`_seq_dot` contracts
+nodal values in the same left-to-right order the complements assume.
+
+The scalar :func:`_split_stress` and :func:`_split_tangent` are
+references for one quadrature point; the tests compare the vectorized
+versions against them.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,26 +44,6 @@ SPLIT_SPECTRAL = 1
 # Relative spread below which principal strains count as repeated and the
 # split degenerates to the trace-sign rule.
 ISO_TOL = 1.0e-12
-
-PURE_NUMPY = os.environ.get("PHASEFRAC_PURE_NUMPY", "0") == "1"
-
-try:  # pragma: no cover - exercised through the env flag
-    if PURE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 # 2x2 Gauss tables on [-1, 1]^2, qp-major: N[q, a], dN/dxi, dN/deta.
@@ -141,16 +129,17 @@ class AssemblyPlan:
 
 
 # ----------------------------------------------------------------------
-# numba path: per-cell loops
+# Scalar references at one quadrature point (used by the tests)
 # ----------------------------------------------------------------------
 
 
-@njit(cache=True)
 def _split_stress(e11, e22, e12, mu, lam, split):
     """Tension/compression stress split at one quadrature point.
 
     Returns (sp11, sp22, sp12, sm11, sm22, sm12, psi) where sigma+ and
     sigma- add up to the full stress exactly and psi = sigma+ : e.
+    Test reference for :func:`_split_stress_numpy`; assembly does not
+    call it.
     """
     tr = e11 + e22
     s11 = 2.0 * mu * e11 + lam * tr
@@ -193,13 +182,14 @@ def _split_stress(e11, e22, e12, mu, lam, split):
     return sp11, sp22, sp12, s11 - sp11, s22 - sp22, s12 - sp12, psi
 
 
-@njit(cache=True)
 def _split_tangent(e11, e22, e12, mu, lam, gdeg, split, D):
     """Fill D (3x3 Voigt) with gdeg * dsigma+/de + dsigma-/de.
 
     The eigenstructure is evaluated at the given strain and then frozen,
     so D is constant during one Newton step.  dsigma- is formed as the
     exact complement of dsigma+ within the full isotropic tangent.
+    Test reference for :func:`_split_tangent_numpy`; assembly does not
+    call it.
     """
     c_full00 = lam + 2.0 * mu
     c_full01 = lam
@@ -261,174 +251,8 @@ def _split_tangent(e11, e22, e12, mu, lam, gdeg, split, D):
             D[i, j] = gdeg * plus + (full - plus)
 
 
-@njit(cache=True)
-def _residual_cells_njit(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split, F):
-    n_cells = conn.shape[0]
-    for c in range(n_cells):
-        jx = 2.0 / dx[c]
-        jy = 2.0 / dy[c]
-        det = 0.25 * dx[c] * dy[c]
-        for i in range(12):
-            F[c, i] = 0.0
-        for q in range(4):
-            dnx0 = _DXI_TAB[q, 0] * jx
-            dnx1 = _DXI_TAB[q, 1] * jx
-            dnx2 = _DXI_TAB[q, 2] * jx
-            dny0 = _DETA_TAB[q, 0] * jy
-            dny1 = _DETA_TAB[q, 1] * jy
-            dny2 = _DETA_TAB[q, 2] * jy
-            # complements keep uniform-field gradients at exact zero
-            dnx = (dnx0, dnx1, dnx2, -((dnx0 + dnx1) + dnx2))
-            dny = (dny0, dny1, dny2, -((dny0 + dny1) + dny2))
-
-            e11 = 0.0
-            e22 = 0.0
-            e12 = 0.0
-            phiq = 0.0
-            phitq = 0.0
-            gpx = 0.0
-            gpy = 0.0
-            for a in range(4):
-                node = conn[c, a]
-                ux = u[2 * node]
-                uy = u[2 * node + 1]
-                e11 += dnx[a] * ux
-                e22 += dny[a] * uy
-                e12 += 0.5 * (dny[a] * ux + dnx[a] * uy)
-                phiq += _N_TAB[q, a] * phi[node]
-                phitq += _N_TAB[q, a] * phit[node]
-                gpx += dnx[a] * phi[node]
-                gpy += dny[a] * phi[node]
-            div_u = e11 + e22
-
-            sp11, sp22, sp12, sm11, sm22, sm12, psi = _split_stress(
-                e11, e22, e12, mu, lam, split
-            )
-            gdeg = (1.0 - kappa) * phitq * phitq + kappa
-            st11 = gdeg * sp11 + sm11
-            st22 = gdeg * sp22 + sm22
-            st12 = gdeg * sp12 + sm12
-            pterm = phitq * phitq * pres
-
-            w = det
-            bulk = (
-                -(1.0 - kappa) * phiq * psi
-                - 2.0 * phiq * pres * div_u
-                + gc / eps * (1.0 - phiq)
-            )
-            for a in range(4):
-                F[c, 2 * a] -= w * (st11 * dnx[a] + st12 * dny[a] + pterm * dnx[a])
-                F[c, 2 * a + 1] -= w * (st12 * dnx[a] + st22 * dny[a] + pterm * dny[a])
-                F[c, 8 + a] += w * (
-                    bulk * _N_TAB[q, a] - gc * eps * (gpx * dnx[a] + gpy * dny[a])
-                )
-
-
-@njit(cache=True)
-def _system_cells_njit(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split, K, F):
-    n_cells = conn.shape[0]
-    D = np.zeros((3, 3))
-    bv = np.zeros((8, 3))
-    for c in range(n_cells):
-        jx = 2.0 / dx[c]
-        jy = 2.0 / dy[c]
-        det = 0.25 * dx[c] * dy[c]
-        for i in range(12):
-            F[c, i] = 0.0
-            for j in range(12):
-                K[c, 12 * i + j] = 0.0
-        for q in range(4):
-            dnx0 = _DXI_TAB[q, 0] * jx
-            dnx1 = _DXI_TAB[q, 1] * jx
-            dnx2 = _DXI_TAB[q, 2] * jx
-            dny0 = _DETA_TAB[q, 0] * jy
-            dny1 = _DETA_TAB[q, 1] * jy
-            dny2 = _DETA_TAB[q, 2] * jy
-            dnx = (dnx0, dnx1, dnx2, -((dnx0 + dnx1) + dnx2))
-            dny = (dny0, dny1, dny2, -((dny0 + dny1) + dny2))
-
-            e11 = 0.0
-            e22 = 0.0
-            e12 = 0.0
-            phiq = 0.0
-            phitq = 0.0
-            gpx = 0.0
-            gpy = 0.0
-            for a in range(4):
-                node = conn[c, a]
-                ux = u[2 * node]
-                uy = u[2 * node + 1]
-                e11 += dnx[a] * ux
-                e22 += dny[a] * uy
-                e12 += 0.5 * (dny[a] * ux + dnx[a] * uy)
-                phiq += _N_TAB[q, a] * phi[node]
-                phitq += _N_TAB[q, a] * phit[node]
-                gpx += dnx[a] * phi[node]
-                gpy += dny[a] * phi[node]
-            div_u = e11 + e22
-
-            sp11, sp22, sp12, sm11, sm22, sm12, psi = _split_stress(
-                e11, e22, e12, mu, lam, split
-            )
-            gdeg = (1.0 - kappa) * phitq * phitq + kappa
-            _split_tangent(e11, e22, e12, mu, lam, gdeg, split, D)
-
-            st11 = gdeg * sp11 + sm11
-            st22 = gdeg * sp22 + sm22
-            st12 = gdeg * sp12 + sm12
-            pterm = phitq * phitq * pres
-            w = det
-
-            # Voigt strain of each displacement basis function.
-            for a in range(4):
-                bv[2 * a, 0] = dnx[a]
-                bv[2 * a, 1] = 0.0
-                bv[2 * a, 2] = dny[a]
-                bv[2 * a + 1, 0] = 0.0
-                bv[2 * a + 1, 1] = dny[a]
-                bv[2 * a + 1, 2] = dnx[a]
-
-            bulk = (
-                -(1.0 - kappa) * phiq * psi
-                - 2.0 * phiq * pres * div_u
-                + gc / eps * (1.0 - phiq)
-            )
-            for a in range(4):
-                F[c, 2 * a] -= w * (st11 * dnx[a] + st12 * dny[a] + pterm * dnx[a])
-                F[c, 2 * a + 1] -= w * (st12 * dnx[a] + st22 * dny[a] + pterm * dny[a])
-                F[c, 8 + a] += w * (
-                    bulk * _N_TAB[q, a] - gc * eps * (gpx * dnx[a] + gpy * dny[a])
-                )
-
-            # u-u block: frozen-split tangent.
-            for i in range(8):
-                di0 = D[0, 0] * bv[i, 0] + D[0, 1] * bv[i, 1] + D[0, 2] * bv[i, 2]
-                di1 = D[1, 0] * bv[i, 0] + D[1, 1] * bv[i, 1] + D[1, 2] * bv[i, 2]
-                di2 = D[2, 0] * bv[i, 0] + D[2, 1] * bv[i, 1] + D[2, 2] * bv[i, 2]
-                for j in range(8):
-                    K[c, 12 * i + j] += w * (
-                        di0 * bv[j, 0] + di1 * bv[j, 1] + di2 * bv[j, 2]
-                    )
-
-            # phi-u block (row phi, column u) and phi-phi block.
-            fac_u = 2.0 * (1.0 - kappa) * phiq
-            fac_p = 2.0 * pres * phiq
-            react = (1.0 - kappa) * psi + 2.0 * pres * div_u + gc / eps
-            for i in range(4):
-                ni = _N_TAB[q, i]
-                for j in range(8):
-                    splus = sp11 * bv[j, 0] + sp22 * bv[j, 1] + sp12 * bv[j, 2]
-                    divj = bv[j, 0] + bv[j, 1]
-                    K[c, 12 * (8 + i) + j] += w * ni * (fac_u * splus + fac_p * divj)
-                for j in range(4):
-                    K[c, 12 * (8 + i) + 8 + j] += w * (
-                        react * ni * _N_TAB[q, j]
-                        + gc * eps * (dnx[i] * dnx[j] + dny[i] * dny[j])
-                    )
-
-
 # ----------------------------------------------------------------------
-# numpy fallback path: vectorized over cells
+# Vectorized kernels over all cells
 # ----------------------------------------------------------------------
 
 
@@ -525,8 +349,11 @@ def _split_tangent_numpy(e11, e22, e12, mu, lam, gdeg, split):
 
 
 def _seq_dot(tab, vals):
-    """Left-to-right 4-term contraction, matching the loop kernels bit
-    for bit so uniform fields hit exact zeros/ones in both paths."""
+    """Left-to-right 4-term contraction over the node axis.
+
+    The order matches the complement columns of the shape-function
+    tables, so uniform fields give exactly 1 (values) and 0 (gradients).
+    """
     return (
         (tab[..., 0] * vals[..., 0] + tab[..., 1] * vals[..., 1])
         + tab[..., 2] * vals[..., 2]
@@ -559,7 +386,8 @@ def _fields_at_qp(dx, dy, conn, u, phi, phit):
     return dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy
 
 
-def _residual_blocks_numpy(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
+def residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
+    """Per-cell residual blocks (n_cells, 12)."""
     dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = _fields_at_qp(
         dx, dy, conn, u, phi, phit
     )
@@ -589,8 +417,9 @@ def _residual_blocks_numpy(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, 
     return F
 
 
-def _system_blocks_numpy(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
-    F = _residual_blocks_numpy(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split)
+def system_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
+    """Per-cell Jacobian (n_cells, 144) and residual (n_cells, 12) blocks."""
+    F = residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split)
     dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = _fields_at_qp(
         dx, dy, conn, u, phi, phit
     )
@@ -630,124 +459,8 @@ def _system_blocks_numpy(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pr
 
 
 # ----------------------------------------------------------------------
-# Public entry points
-# ----------------------------------------------------------------------
-
-
-def residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
-    """Per-cell residual blocks (n_cells, 12)."""
-    if NUMBA_ENABLED:
-        F = np.zeros((conn.shape[0], 12))
-        _residual_cells_njit(
-            dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split, F
-        )
-        return F
-    return _residual_blocks_numpy(
-        dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split
-    )
-
-
-def system_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
-    """Per-cell Jacobian (n_cells, 144) and residual (n_cells, 12) blocks."""
-    if NUMBA_ENABLED:
-        K = np.zeros((conn.shape[0], 144))
-        F = np.zeros((conn.shape[0], 12))
-        _system_cells_njit(
-            dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split, K, F
-        )
-        return K, F
-    return _system_blocks_numpy(
-        dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split
-    )
-
-
-# ----------------------------------------------------------------------
 # ILU(0) factorization and triangular solves (CSR, zero fill-in)
 # ----------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _ilu0_factor_njit(indptr, indices, data, diag_pos, n):
-    for i in range(1, n):
-        for kk in range(indptr[i], indptr[i + 1]):
-            k = indices[kk]
-            if k >= i:
-                break
-            dk = data[diag_pos[k]]
-            if dk == 0.0:
-                continue
-            lik = data[kk] / dk
-            data[kk] = lik
-            for jj in range(diag_pos[k] + 1, indptr[k + 1]):
-                j = indices[jj]
-                # subtract lik * U[k, j] from A[i, j] if that slot exists
-                lo = indptr[i]
-                hi = indptr[i + 1] - 1
-                while lo <= hi:
-                    mid = (lo + hi) // 2
-                    cj = indices[mid]
-                    if cj == j:
-                        data[mid] -= lik * data[jj]
-                        break
-                    if cj < j:
-                        lo = mid + 1
-                    else:
-                        hi = mid - 1
-
-
-@njit(cache=True)
-def _ilu0_solve_njit(indptr, indices, data, diag_pos, b, x, n):
-    # forward: L y = b with unit diagonal
-    for i in range(n):
-        s = b[i]
-        for kk in range(indptr[i], indptr[i + 1]):
-            j = indices[kk]
-            if j >= i:
-                break
-            s -= data[kk] * x[j]
-        x[i] = s
-    # backward: U x = y
-    for i in range(n - 1, -1, -1):
-        s = x[i]
-        for kk in range(indptr[i + 1] - 1, diag_pos[i], -1):
-            s -= data[kk] * x[indices[kk]]
-        x[i] = s / data[diag_pos[i]]
-
-
-def _ilu0_factor_py(indptr, indices, data, diag_pos, n):
-    for i in range(1, n):
-        row = slice(indptr[i], indptr[i + 1])
-        row_idx = indices[row]
-        for kk in range(indptr[i], indptr[i + 1]):
-            k = indices[kk]
-            if k >= i:
-                break
-            dk = data[diag_pos[k]]
-            if dk == 0.0:
-                continue
-            lik = data[kk] / dk
-            data[kk] = lik
-            for jj in range(diag_pos[k] + 1, indptr[k + 1]):
-                j = indices[jj]
-                pos = np.searchsorted(row_idx, j)
-                if pos < len(row_idx) and row_idx[pos] == j:
-                    data[indptr[i] + pos] -= lik * data[jj]
-
-
-def _ilu0_solve_py(indptr, indices, data, diag_pos, b, x, n):
-    for i in range(n):
-        s = b[i]
-        for kk in range(indptr[i], indptr[i + 1]):
-            j = indices[kk]
-            if j >= i:
-                break
-            s -= data[kk] * x[j]
-        x[i] = s
-    for i in range(n - 1, -1, -1):
-        s = x[i]
-        for kk in range(indptr[i + 1] - 1, diag_pos[i], -1):
-            s -= data[kk] * x[indices[kk]]
-        x[i] = s / data[diag_pos[i]]
 
 
 def ilu0_factor(matrix: sp.csr_matrix):
@@ -771,18 +484,41 @@ def ilu0_factor(matrix: sp.csr_matrix):
     indptr = A.indptr.astype(np.int64)
     indices = A.indices.astype(np.int64)
     data = A.data.astype(np.float64)
-    if NUMBA_ENABLED:
-        _ilu0_factor_njit(indptr, indices, data, diag_pos, n)
-    else:
-        _ilu0_factor_py(indptr, indices, data, diag_pos, n)
+    for i in range(1, n):
+        row_idx = indices[indptr[i]: indptr[i + 1]]
+        for kk in range(indptr[i], indptr[i + 1]):
+            k = indices[kk]
+            if k >= i:
+                break
+            dk = data[diag_pos[k]]
+            if dk == 0.0:
+                continue
+            lik = data[kk] / dk
+            data[kk] = lik
+            for jj in range(diag_pos[k] + 1, indptr[k + 1]):
+                j = indices[jj]
+                pos = np.searchsorted(row_idx, j)
+                if pos < len(row_idx) and row_idx[pos] == j:
+                    data[indptr[i] + pos] -= lik * data[jj]
     return indptr, indices, data, diag_pos, n
 
 
 def ilu0_apply(factor, b: np.ndarray) -> np.ndarray:
     indptr, indices, data, diag_pos, n = factor
     x = np.zeros(n)
-    if NUMBA_ENABLED:
-        _ilu0_solve_njit(indptr, indices, data, diag_pos, b, x, n)
-    else:
-        _ilu0_solve_py(indptr, indices, data, diag_pos, b, x, n)
+    # forward: L y = b with unit diagonal
+    for i in range(n):
+        s = b[i]
+        for kk in range(indptr[i], indptr[i + 1]):
+            j = indices[kk]
+            if j >= i:
+                break
+            s -= data[kk] * x[j]
+        x[i] = s
+    # backward: U x = y
+    for i in range(n - 1, -1, -1):
+        s = x[i]
+        for kk in range(indptr[i + 1] - 1, diag_pos[i], -1):
+            s -= data[kk] * x[indices[kk]]
+        x[i] = s / data[diag_pos[i]]
     return x

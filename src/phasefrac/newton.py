@@ -61,12 +61,10 @@ class SolverSettings:
     case: int = 2
     c_constant: float = 10.0
     tol_newton: float = 1.0e-7
-    tol_mode: str = "absolute"  # or "relative"
     max_iterations: int = 500
     l_max: int = 10
     omega: float = 0.6
     case3_extra_iterations: int = 10
-    case2_max_over_dofs: bool = False
 
     def __post_init__(self):
         if self.case not in CASE_CHOICES:
@@ -75,8 +73,6 @@ class SolverSettings:
             raise ValueError("omega must satisfy 0 < omega <= 1")
         if self.c_constant <= 0.0:
             raise ValueError("c_constant must be positive")
-        if self.tol_mode not in ("absolute", "relative"):
-            raise ValueError("tol_mode must be 'absolute' or 'relative'")
 
 
 @dataclass
@@ -141,8 +137,6 @@ def classify_active_set(
             np.abs(dphi) > 1.0e-14 * np.maximum(1.0, np.abs(lam))
         )
         cvec[formula_ok] = 2.0 * np.abs(lam[formula_ok] / dphi[formula_ok])
-        if settings.case2_max_over_dofs:
-            cvec = np.full(len(lam), cvec.max())
     else:
         cvec = settings.c_constant
     crit = lam + cvec * dphi
@@ -229,7 +223,6 @@ def pdas_loop(
     upper = system.phi_upper
 
     prev_mask: Optional[ActiveSetMask] = None
-    threshold: Optional[float] = None
     case3_hit: Optional[int] = None
     # Lagged factorization of the leading block: the displacement block
     # drifts only through the refrozen stress split, so one factor serves
@@ -255,12 +248,7 @@ def pdas_loop(
 
         reduced = system.reduce(raw, act)
         rnorm = float(np.linalg.norm(reduced))
-        if threshold is None:
-            threshold = settings.tol_newton
-            if settings.tol_mode == "relative":
-                threshold *= max(rnorm, 1.0e-300)
-
-        small = rnorm <= threshold
+        small = rnorm <= settings.tol_newton
         if settings.case in (1, 2):
             # At entry (no previous mask) the classification of a warm
             # state counts as stable; a converged state is left untouched

@@ -151,7 +151,9 @@ def _sneddon2d(config: RunConfig) -> Tuple[Problem, RunConfig]:
         fixed=fixed,
         apply_values=apply_values,
         load_marker=None,
-        tcv_reference=analytic_sneddon_tcv(1.0e-3, 0.25, 1.0, 0.2, config.plane),
+        tcv_reference=analytic_sneddon_tcv(
+            params.pressure, 0.25, params.youngs, params.poisson
+        ),
         name="sneddon2d",
     )
     return problem, config

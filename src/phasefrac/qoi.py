@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import DofMap
-from .kernels import _fields_at_qp, _N_TAB, _split_stress_numpy
-from .material import MaterialParams, degradation
+from .kernels import _fields_at_qp, _N_TAB
+from .material import MaterialParams
 from .mesh import EDGE_CORNERS, EDGE_NORMALS, Mesh
 
 
@@ -51,15 +51,10 @@ def total_crack_volume(mesh: Mesh, dofmap: DofMap, state: np.ndarray) -> float:
     return float(np.einsum("n,nq->", w, uxq * gpx + uyq * gpy))
 
 
-def analytic_sneddon_tcv(p: float, l0: float, youngs: float, poisson: float,
-                         plane: str = "strain") -> float:
-    """Reference crack volume 2 pi p l0^2 / E' of a pressurized line crack."""
-    if plane == "strain":
-        eprime = youngs / (1.0 - poisson**2)
-    elif plane == "stress":
-        eprime = youngs
-    else:
-        raise ValueError(f"unknown plane mode {plane!r}")
+def analytic_sneddon_tcv(p: float, l0: float, youngs: float, poisson: float) -> float:
+    """Reference crack volume 2 pi p l0^2 / E' of a pressurized line crack,
+    with the plane-strain modulus E' = E / (1 - nu^2) the assembly uses."""
+    eprime = youngs / (1.0 - poisson**2)
     return 2.0 * np.pi * p * l0**2 / eprime
 
 
@@ -94,15 +89,11 @@ def boundary_load(
     state: np.ndarray,
     params: MaterialParams,
     marker: str,
-    degraded: bool = False,
 ) -> tuple:
-    """Traction resultant integral of sigma(u) . eta over a marked boundary.
-
-    Uses the full undegraded stress by default; ``degraded=True`` weighs
-    the tensile part by g(phi) instead.
-    """
+    """Traction resultant integral of sigma(u) . eta over a marked boundary,
+    with the full undegraded Hooke stress."""
     cells, edges = mesh.marked_facets(marker)
-    u, phi = _split_state(dofmap, state)
+    u, _ = _split_state(dofmap, state)
     fx = fy = 0.0
     for cell, edge in zip(cells, edges):
         conn = mesh.cells[cell]
@@ -119,22 +110,10 @@ def boundary_load(
             e11 = dnx @ ux
             e22 = dny @ uy
             e12 = 0.5 * (dny @ ux + dnx @ uy)
-            arr = np.array([[e11]]), np.array([[e22]]), np.array([[e12]])
-            sp1, sp2, sp12, sm1, sm2, sm12, _ = _split_stress_numpy(
-                *arr, params.mu, params.lam,
-                params.split_code if degraded else 0,
-            )
-            if degraded:
-                nvals = 0.25 * np.array(
-                    [(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                     (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)]
-                )
-                g = degradation(float(nvals @ phi[conn]), params.kappa)
-            else:
-                g = 1.0
-            s11 = float(g * sp1[0, 0] + sm1[0, 0])
-            s22 = float(g * sp2[0, 0] + sm2[0, 0])
-            s12 = float(g * sp12[0, 0] + sm12[0, 0])
+            tr = e11 + e22
+            s11 = float(2.0 * params.mu * e11 + params.lam * tr)
+            s22 = float(2.0 * params.mu * e22 + params.lam * tr)
+            s12 = float(2.0 * params.mu * e12)
             tx = s11 * normal[0] + s12 * normal[1]
             ty = s12 * normal[0] + s22 * normal[1]
             fx += ds * tx

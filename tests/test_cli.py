@@ -1,0 +1,57 @@
+"""Command-line front end: exit codes and the files a run writes."""
+
+import os
+
+import pytest
+
+from phasefrac import cli
+from phasefrac import io as pio
+
+COARSE_LPANEL = ["--benchmark", "lpanel", "--global-refines", "1", "--increments", "2"]
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_coarse_run_exits_zero_and_writes_qoi_csv(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["run", *COARSE_LPANEL, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rows = pio.read_csv(os.path.join(out, "qoi.csv"))
+    assert [row["step"] for row in rows] == [1, 2]
+    assert all(row["newton_iters"] >= 1 for row in rows)
+    assert os.path.isfile(os.path.join(out, "config.echo"))
+
+
+def test_newton_iteration_cap_exits_nonconvergence(tmp_path):
+    cfg = write_config(
+        tmp_path, 'benchmark = "sens"\nmax_newton_iterations = 1\n'
+    )
+    code = cli.main([
+        "run", "--config", cfg, "--global-refines", "0", "--local-refines", "0",
+        "--increments", "2",
+    ])
+    assert code == cli.EXIT_NOCONV
+
+
+@pytest.mark.parametrize(
+    "line", ["itl_literal_indexing = true", "plane = \"stress\"", "no_such_key = 1"]
+)
+def test_unknown_config_key_exits_config_error(tmp_path, line):
+    cfg = write_config(tmp_path, line + "\n")
+    assert cli.main(["run", "--config", cfg, *COARSE_LPANEL]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv", [["bench"], ["run", *COARSE_LPANEL, "--plane", "stress"]]
+)
+def test_removed_subcommand_and_flag_exit_config_error(argv):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+
+
+def test_missing_config_file_exits_config_error(tmp_path):
+    code = cli.main(["run", "--config", str(tmp_path / "absent.cfg")])
+    assert code == cli.EXIT_CONFIG

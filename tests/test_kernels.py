@@ -395,28 +395,6 @@ def test_jacobian_uu_spd_none_split():
     assert np.linalg.eigvalsh(pinned).min() > 0.0
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path disabled")
-def test_numba_and_numpy_assembly_agree():
-    mesh, dofmap, asm = small_assembler("spectral")
-    rng = np.random.default_rng(17)
-    state, phi_lin = random_state(dofmap, rng)
-    n = dofmap.n_nodes
-    u = state[: 2 * n].copy()
-    phi = state[2 * n:].copy()
-    p = asm.params
-    args = (
-        asm._dx, asm._dy, asm._conn, u, phi, phi_lin.copy(),
-        p.mu, p.lam, p.gc, p.eps, p.kappa, p.pressure, p.split_code,
-    )
-    f_njit = kernels.residual_blocks(*args)
-    f_ref = kernels._residual_blocks_numpy(*args)
-    assert np.allclose(f_njit, f_ref, rtol=0, atol=1e-13)
-    k_njit, fk_njit = kernels.system_blocks(*args)
-    k_ref, fk_ref = kernels._system_blocks_numpy(*args)
-    assert np.allclose(k_njit, k_ref, rtol=0, atol=1e-12)
-    assert np.allclose(fk_njit, fk_ref, rtol=0, atol=1e-13)
-
-
 # ----------------------------------------------------------------------
 # ILU(0)
 # ----------------------------------------------------------------------

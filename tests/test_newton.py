@@ -111,18 +111,6 @@ def test_classification_case2_releases_feasible_positive_multiplier():
     assert mask.flags.tolist() == [False]
 
 
-def test_classification_case2_max_over_dofs():
-    settings = SolverSettings(case=2, c_constant=1.0, case2_max_over_dofs=True)
-    res = np.array([2.0, 0.1])
-    mass = np.ones(2)
-    phi = np.array([0.9, 0.9])
-    old = np.array([1.0, 1.0])
-    # shared max c = 2*|2/-0.1| = 40: second dof sees 0.1 - 4 < 0,
-    # first sees 2 - 4 < 0 as well
-    mask = classify_active_set(res, mass, phi, old, settings)
-    assert mask.size == 0
-
-
 def test_active_set_mask_equality_and_size():
     a = ActiveSetMask(np.array([True, False, True]))
     b = ActiveSetMask(np.array([True, False, True]))
@@ -148,11 +136,6 @@ def test_settings_reject_bad_omega():
 def test_settings_reject_bad_c():
     with pytest.raises(ValueError, match="c_constant"):
         SolverSettings(c_constant=-1.0)
-
-
-def test_settings_reject_bad_tol_mode():
-    with pytest.raises(ValueError, match="tol_mode"):
-        SolverSettings(tol_mode="scaled")
 
 
 # ----------------------------------------------------------------------
