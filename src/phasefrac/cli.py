@@ -13,10 +13,10 @@ Exit codes: 0 all increments converged, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
+import typing
 from typing import Optional, Sequence
 
 from . import io as pio
@@ -30,8 +30,9 @@ EXIT_NOCONV = 3
 
 log = logging.getLogger("phasefrac")
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_GMRES_FIELDS = {f.name: f for f in dataclasses.fields(GmresSettings)}
+# field name -> type, with the string annotations resolved
+_CONFIG_FIELDS = typing.get_type_hints(RunConfig)
+_GMRES_FIELDS = typing.get_type_hints(GmresSettings)
 
 # CLI flag -> RunConfig field (only where the names differ)
 _FLAG_ALIASES = {
@@ -53,10 +54,25 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(message)s")
 
 
+def _checked(key: str, value, hint):
+    """``value`` if it has the field type ``hint``; an int widens to float.
+
+    bool is not accepted where an int or float is expected.
+    """
+    allowed = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    if type(value) is int and float in allowed:
+        return float(value)
+    if any(type(value) is t for t in allowed):
+        return value
+    names = " or ".join("none" if t is type(None) else t.__name__ for t in allowed)
+    raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+
+
 def build_config(file_values: dict, cli_values: dict) -> RunConfig:
     """Merge config-file values and CLI overrides into a RunConfig.
 
-    CLI wins over the file.  Unknown keys are rejected by name.
+    CLI wins over the file.  Unknown keys and values of the wrong type
+    are rejected by name.
     """
     merged: dict = {}
     gmres_kwargs: dict = {}
@@ -65,11 +81,11 @@ def build_config(file_values: dict, cli_values: dict) -> RunConfig:
             sub = key[len("gmres."):]
             if sub not in _GMRES_FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            gmres_kwargs[sub] = val
+            gmres_kwargs[sub] = _checked(key, val, _GMRES_FIELDS[sub])
             continue
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_FIELDS or key == "gmres":
             raise ValueError(f"unknown config key {key!r}")
-        merged[key] = val
+        merged[key] = _checked(key, val, _CONFIG_FIELDS[key])
     for key, val in cli_values.items():
         if val is None:
             continue

@@ -388,14 +388,18 @@ def _fields_at_qp(dx, dy, conn, u, phi, phit):
 
 def residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
     """Per-cell residual blocks (n_cells, 12)."""
-    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = _fields_at_qp(
-        dx, dy, conn, u, phi, phit
-    )
+    qp = _fields_at_qp(dx, dy, conn, u, phi, phit)
+    stress = _split_stress_numpy(*qp[2:5], mu, lam, split)
+    return _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres)
+
+
+def _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres):
+    """Residual blocks from the fields at the quadrature points and their
+    stress split, so the Jacobian assembly can share both."""
+    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = qp
+    sp11, sp22, sp12, sm11, sm22, sm12, psi = stress
     det = (0.25 * dx * dy)[:, None]
     div_u = e11 + e22
-    sp11, sp22, sp12, sm11, sm22, sm12, psi = _split_stress_numpy(
-        e11, e22, e12, mu, lam, split
-    )
     gdeg = (1.0 - kappa) * phitq**2 + kappa
     st11 = gdeg * sp11 + sm11
     st22 = gdeg * sp22 + sm22
@@ -403,7 +407,7 @@ def residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, s
     pterm = phitq**2 * pres
     bulk = -(1.0 - kappa) * phiq * psi - 2.0 * phiq * pres * div_u + gc / eps * (1.0 - phiq)
 
-    F = np.zeros((conn.shape[0], 12))
+    F = np.zeros((len(dx), 12))
     F[:, 0:8:2] = -np.einsum("nq,nqa->na", det * (st11 + pterm), dnx) - np.einsum(
         "nq,nqa->na", det * st12, dny
     )
@@ -419,13 +423,13 @@ def residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, s
 
 def system_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
     """Per-cell Jacobian (n_cells, 144) and residual (n_cells, 12) blocks."""
-    F = residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split)
-    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = _fields_at_qp(
-        dx, dy, conn, u, phi, phit
-    )
+    qp = _fields_at_qp(dx, dy, conn, u, phi, phit)
+    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = qp
+    stress = _split_stress_numpy(e11, e22, e12, mu, lam, split)
+    F = _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres)
     w = 0.25 * dx * dy  # constant over the four unit-weight Gauss points
     div_u = e11 + e22
-    sp11, sp22, sp12, _, _, _, psi = _split_stress_numpy(e11, e22, e12, mu, lam, split)
+    sp11, sp22, sp12, _, _, _, psi = stress
     gdeg = (1.0 - kappa) * phitq**2 + kappa
     D = _split_tangent_numpy(e11, e22, e12, mu, lam, gdeg, split)  # (n,q,3,3)
 
@@ -456,69 +460,3 @@ def system_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, spl
         + np.einsum("n,nqi,nqj->nij", w, dny, dny)
     )
     return K.reshape(n, 144), F
-
-
-# ----------------------------------------------------------------------
-# ILU(0) factorization and triangular solves (CSR, zero fill-in)
-# ----------------------------------------------------------------------
-
-
-def ilu0_factor(matrix: sp.csr_matrix):
-    """Zero-fill ILU factorization on the matrix's own sparsity pattern.
-
-    Returns an opaque factor object consumed by :func:`ilu0_apply`.  The
-    unit-lower and upper triangles share the CSR storage of the input
-    pattern.  Rows must contain their diagonal entry.
-    """
-    A = matrix.tocsr().copy()
-    A.sum_duplicates()
-    A.sort_indices()
-    n = A.shape[0]
-    diag_pos = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = A.indices[A.indptr[i]: A.indptr[i + 1]]
-        pos = np.searchsorted(row, i)
-        if pos == len(row) or row[pos] != i:
-            raise ValueError("ilu0 requires a structurally present diagonal")
-        diag_pos[i] = A.indptr[i] + pos
-    indptr = A.indptr.astype(np.int64)
-    indices = A.indices.astype(np.int64)
-    data = A.data.astype(np.float64)
-    for i in range(1, n):
-        row_idx = indices[indptr[i]: indptr[i + 1]]
-        for kk in range(indptr[i], indptr[i + 1]):
-            k = indices[kk]
-            if k >= i:
-                break
-            dk = data[diag_pos[k]]
-            if dk == 0.0:
-                continue
-            lik = data[kk] / dk
-            data[kk] = lik
-            for jj in range(diag_pos[k] + 1, indptr[k + 1]):
-                j = indices[jj]
-                pos = np.searchsorted(row_idx, j)
-                if pos < len(row_idx) and row_idx[pos] == j:
-                    data[indptr[i] + pos] -= lik * data[jj]
-    return indptr, indices, data, diag_pos, n
-
-
-def ilu0_apply(factor, b: np.ndarray) -> np.ndarray:
-    indptr, indices, data, diag_pos, n = factor
-    x = np.zeros(n)
-    # forward: L y = b with unit diagonal
-    for i in range(n):
-        s = b[i]
-        for kk in range(indptr[i], indptr[i + 1]):
-            j = indices[kk]
-            if j >= i:
-                break
-            s -= data[kk] * x[j]
-        x[i] = s
-    # backward: U x = y
-    for i in range(n - 1, -1, -1):
-        s = x[i]
-        for kk in range(indptr[i + 1] - 1, diag_pos[i], -1):
-            s -= data[kk] * x[indices[kk]]
-        x[i] = s / data[diag_pos[i]]
-    return x

@@ -33,7 +33,7 @@ from .fem import (
 )
 import scipy.sparse.linalg as sps
 
-from .linsolve import GmresResult, GmresSettings, gmres, solve_block_triangular
+from .linsolve import GmresResult, GmresSettings, solve_block_triangular
 from .material import Assembler
 from .mesh import ConstraintSet
 
@@ -81,7 +81,9 @@ class NewtonReport:
     residual_history: list = field(default_factory=list)
     active_set_sizes: list = field(default_factory=list)
     line_search_steps: list = field(default_factory=list)
-    gmres_iterations: list = field(default_factory=list)
+    gmres_iterations: list = field(default_factory=list)  # both stages, per step
+    stage_iterations: list = field(default_factory=list)  # (lead, trail) per step
+    linear_fallbacks: int = 0  # steps whose Krylov solve fell back to spsolve
     converged: bool = False
     termination_reason: str = ""
     final_residual: float = 0.0
@@ -203,7 +205,7 @@ class BoundSystem:
     condense: Callable
     expand: Callable[[np.ndarray, np.ndarray], np.ndarray]
     project: Optional[Callable[[np.ndarray], None]] = None  # post-update hook
-    block_split: Optional[int] = None  # leading-block size for two-stage solves
+    block_split: int = 0  # leading-block size of the two-stage solve
 
 
 def pdas_loop(
@@ -216,6 +218,16 @@ def pdas_loop(
 
     One iteration = one reduced linear solve.  Stopping is evaluated at
     the top of each pass on the freshly classified, projected state.
+
+    The reduced system is block lower triangular (the displacement rows
+    see the frozen linearization, not the phase field), so it is solved
+    in two GMRES stages, each preconditioned by a sparse LU of its
+    diagonal block: a lagged factor of the displacement block, and a
+    fresh factor of the phase-field block every step.  GMRES around the
+    exact factors keeps the absolute stopping target of
+    :func:`solve_block_triangular`, so a negligible stage is skipped and
+    every direction meets the same residual target; see
+    :mod:`phasefrac.linsolve` for why a plain direct solve is not used.
     """
     gmres_settings = gmres_settings or GmresSettings()
     report = NewtonReport()
@@ -224,13 +236,16 @@ def pdas_loop(
 
     prev_mask: Optional[ActiveSetMask] = None
     case3_hit: Optional[int] = None
+    split = system.block_split
     # Lagged factorization of the leading block: the displacement block
     # drifts only through the refrozen stress split, so one factor serves
     # many Newton steps as a near-exact GMRES preconditioner.
     lead_precond: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    # full residual of the current state; later passes take the one the
+    # line search computed for the accepted trial
+    raw = system.residual(state)
     while True:
-        raw = system.residual(state)
         mask = classify_active_set(
             raw[pdofs], system.mass_diag, state[pdofs], upper, settings,
             system.classifiable,
@@ -276,18 +291,20 @@ def pdas_loop(
 
         matrix, rhs = system.system(state)
         mat_red, rhs_red = system.condense(matrix, rhs, act)
-        if gmres_settings.method == "block_triangular" and system.block_split is not None:
-            s = system.block_split
-            if lead_precond is None:
-                lead_precond = sps.splu(mat_red.tocsr()[:s, :s].tocsc()).solve
-            sol = solve_block_triangular(
-                mat_red, rhs_red, s, gmres_settings,
-                stage_preconds=(lead_precond, None),
-            )
-            if sol.stage_iters is not None and sol.stage_iters[0] > 30:
-                lead_precond = None  # block drifted too far; refactor next pass
-        else:
-            sol = gmres(mat_red, rhs_red, gmres_settings)
+        mat_red = mat_red.tocsr()
+        if split and lead_precond is None:
+            lead_precond = sps.splu(mat_red[:split, :split].tocsc()).solve
+        # the trailing factor lives only for this solve, so two of them
+        # never coexist in memory
+        sol = solve_block_triangular(
+            mat_red, rhs_red, split, gmres_settings,
+            stage_preconds=(
+                lead_precond, sps.splu(mat_red[split:, split:].tocsc()).solve,
+            ),
+        )
+        stage_iters = sol.stage_iters
+        if stage_iters[0] > 30:
+            lead_precond = None  # block drifted too far; refactor next pass
         if not sol.converged:
             # a stagnated Krylov solve would feed the line search a junk
             # direction; fall back to a sparse direct solve for this step
@@ -295,31 +312,29 @@ def pdas_loop(
                 sps.spsolve(mat_red.tocsc(), rhs_red), True, sol.n_iters
             )
             lead_precond = None
+            report.linear_fallbacks += 1
         delta = system.expand(sol.x, act)
 
-        accepted = None
-        accepted_norm = None
         step = 1.0
         for l in range(settings.l_max + 1):
             trial = state + step * delta
             if system.project is not None:
                 system.project(trial)
-            tnorm = float(np.linalg.norm(system.reduce(system.residual(trial), act)))
+            raw = system.residual(trial)
+            tnorm = float(np.linalg.norm(system.reduce(raw, act)))
             if tnorm < rnorm:
-                accepted, accepted_norm = trial, tnorm
-                report.line_search_steps.append(l)
                 break
-            last = (trial, tnorm, l)
             step *= settings.omega
-        if accepted is None:
-            accepted, accepted_norm, l = last
-            report.line_search_steps.append(l)
-        state[:] = accepted
+        # without a decrease the last, shortest trial is taken; either way
+        # ``raw`` is its full residual and seeds the next pass
+        report.line_search_steps.append(l)
+        state[:] = trial
 
         report.iterations += 1
-        report.residual_history.append(accepted_norm)
+        report.residual_history.append(tnorm)
         report.active_set_sizes.append(mask.size)
         report.gmres_iterations.append(sol.n_iters)
+        report.stage_iterations.append(stage_iters)
         prev_mask = mask
 
     report.lambda_mult = lam

@@ -23,7 +23,10 @@ def test_coarse_run_exits_zero_and_writes_qoi_csv(tmp_path):
     rows = pio.read_csv(os.path.join(out, "qoi.csv"))
     assert [row["step"] for row in rows] == [1, 2]
     assert all(row["newton_iters"] >= 1 for row in rows)
-    assert os.path.isfile(os.path.join(out, "config.echo"))
+    echo = (out / "config.echo").read_text().splitlines()
+    keys = {line.split(" = ")[0] for line in echo if " = " in line}
+    assert {"gmres.rel_tol", "gmres.max_iters"} <= keys
+    assert not keys & {"gmres.preconditioner", "gmres.method"}
 
 
 def test_newton_iteration_cap_exits_nonconvergence(tmp_path):
@@ -38,7 +41,14 @@ def test_newton_iteration_cap_exits_nonconvergence(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["itl_literal_indexing = true", "plane = \"stress\"", "no_such_key = 1"]
+    "line",
+    [
+        "itl_literal_indexing = true",
+        "plane = \"stress\"",
+        "no_such_key = 1",
+        "gmres.preconditioner = \"ilu0\"",
+        "gmres.method = \"monolithic\"",
+    ],
 )
 def test_unknown_config_key_exits_config_error(tmp_path, line):
     cfg = write_config(tmp_path, line + "\n")
@@ -50,6 +60,24 @@ def test_unknown_config_key_exits_config_error(tmp_path, line):
 )
 def test_removed_subcommand_and_flag_exit_config_error(argv):
     assert cli.main(argv) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("tol_newton", "abc"), ("n_increments", "2.5"), ("gmres.rel_tol", "abc")],
+)
+def test_config_value_of_wrong_type_exits_config_error(tmp_path, caplog, key, value):
+    cfg = write_config(tmp_path, f"{key} = {value}\n")
+    assert cli.main(["run", "--config", cfg, *COARSE_LPANEL]) == cli.EXIT_CONFIG
+    assert repr(key) in caplog.text
+
+
+def test_config_int_widens_to_float_field():
+    config = cli.build_config({"tol_newton": 1, "gmres.rel_tol": 0}, {})
+    assert type(config.tol_newton) is float and config.tol_newton == 1.0
+    assert type(config.gmres.rel_tol) is float
+    with pytest.raises(ValueError, match="'n_increments'"):
+        cli.build_config({"n_increments": True}, {})
 
 
 def test_missing_config_file_exits_config_error(tmp_path):

@@ -395,34 +395,6 @@ def test_jacobian_uu_spd_none_split():
     assert np.linalg.eigvalsh(pinned).min() > 0.0
 
 
-# ----------------------------------------------------------------------
-# ILU(0)
-# ----------------------------------------------------------------------
-
-
-def test_ilu0_exact_on_triangular_matrix():
-    rng = np.random.default_rng(18)
-    n = 40
-    dense = np.tril(rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.3)
-    np.fill_diagonal(dense, rng.uniform(1.0, 2.0, n))
-    mat = sp.csr_matrix(dense)
-    fac = kernels.ilu0_factor(mat)
-    b = rng.standard_normal(n)
-    x = kernels.ilu0_apply(fac, b)
-    assert np.allclose(dense @ x, b, atol=1e-12)
-
-
-def test_ilu0_exact_when_pattern_has_no_fill():
-    # tridiagonal: ILU(0) equals the exact LU factorization
-    n = 30
-    mat = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
-    fac = kernels.ilu0_factor(mat)
-    rng = np.random.default_rng(19)
-    b = rng.standard_normal(n)
-    x = kernels.ilu0_apply(fac, b)
-    assert np.allclose(mat @ x, b, atol=1e-12)
-
-
 def test_assembly_plan_matches_coo_scatter():
     rng = np.random.default_rng(20)
     mesh = build_rectangle_mesh((0.0, 0.0), (1.0, 1.0), (3, 2))

@@ -17,7 +17,7 @@ from phasefrac.linsolve import GmresSettings
 from obstacle_util import obstacle_system, qp_enumerate, screened_laplacian
 
 
-GM = GmresSettings(method="monolithic", preconditioner="none", rel_tol=1e-12)
+GM = GmresSettings(rel_tol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -168,11 +168,11 @@ def test_kkt_check_flags_violations():
 # ----------------------------------------------------------------------
 
 
-def run_case(A, b, ub, case, x0=None, **kw):
+def run_case(A, b, ub, case, x0=None, gmres=GM, **kw):
     system = obstacle_system(A, b, ub)
     state = np.zeros(len(b)) if x0 is None else x0.copy()
     settings = SolverSettings(case=case, c_constant=1.0, tol_newton=1e-12, **kw)
-    report = pdas_loop(system, state, settings, GM)
+    report = pdas_loop(system, state, settings, gmres)
     return state, report
 
 
@@ -285,3 +285,19 @@ def test_residual_history_matches_iterations():
     assert len(report.residual_history) == report.iterations
     assert len(report.active_set_sizes) == report.iterations
     assert len(report.gmres_iterations) == report.iterations
+    assert len(report.stage_iterations) == report.iterations
+    # no leading block: the whole system is the LU-preconditioned stage
+    assert all(lead == 0 and trail <= 2 for lead, trail in report.stage_iterations)
+    assert report.linear_fallbacks == 0
+
+
+def test_krylov_fallback_is_counted():
+    rng = np.random.default_rng(49)
+    A = screened_laplacian(7)
+    b = rng.standard_normal(7)
+    ref, _ = run_case(A, b, np.zeros(7), case=1)
+    # no Krylov iteration allowed: every step falls back to spsolve
+    state, report = run_case(A, b, np.zeros(7), case=1, gmres=GmresSettings(max_iters=0))
+    assert report.converged
+    assert report.linear_fallbacks == report.iterations > 0
+    assert np.allclose(state, ref, atol=1e-10)
