@@ -5,6 +5,12 @@ nodes, dof ``2*i`` is u_x at node i, dof ``2*i + 1`` is u_y at node i,
 and dof ``2*n + i`` is the phase field at node i.  All solvers work on
 this monolithic vector; the phase-field block can be sliced off the end.
 
+Hanging-node constraints are held as one sparse node-level interpolation
+matrix H (``hanging_interpolation``), built once per ConstraintSet with
+chains resolved.  Projection of a state is ``H @ v`` per field, the
+constraint operator P is H expanded to dofs with the fixed columns
+dropped, and the lumped mass fold is ``H^T m``.
+
 Constraint handling (hanging nodes, Dirichlet dofs, active-set dofs)
 keeps the full system size: constrained rows and columns are folded or
 zeroed and the diagonal is set to one with a zero right-hand side, so a
@@ -67,59 +73,47 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     return DofMap(n_nodes=n, cell_dofs=cd)
 
 
-def quadrature_points() -> tuple[np.ndarray, np.ndarray]:
-    """2x2 Gauss rule on the reference square [-1, 1]^2.
+def hanging_interpolation(constraints: ConstraintSet, n_nodes: int) -> sp.csr_matrix:
+    """Node-level interpolation matrix H of the hanging-node constraints.
 
-    Exact for polynomials of degree three per coordinate, which covers
-    every bilinear-times-bilinear integrand on affine rectangles.
+    Row i of H gives node i's value from unconstrained nodes: a unit
+    diagonal entry for an unconstrained node, the interpolation weights
+    for a hanging one.  Chains (a master that is itself hanging) are
+    resolved here, by multiplying with the one-link matrix until no
+    hanging column is left; they are finite because every link moves to a
+    coarser edge.  H is built once per ConstraintSet and node count.
     """
-    g = 1.0 / np.sqrt(3.0)
-    pts = np.array([[-g, -g], [g, -g], [g, g], [-g, g]])
-    wts = np.ones(4)
-    return pts, wts
-
-
-def resolve_constraints(constraints: ConstraintSet):
-    """Expand hanging-node constraints until no master is itself hanging.
-
-    Chains occur where refinement levels step down twice within two
-    cells; they are finite because every link moves to a coarser edge.
-    Returns (nodes, masters_list, weights_list) with plain master nodes.
-    """
-    table = {
-        int(n): list(zip(constraints.masters[k], constraints.weights[k]))
-        for k, n in enumerate(constraints.nodes)
-    }
-    resolved = {}
-    for node in table:
-        entries = list(table[node])
-        while any(int(m) in table for m, _ in entries):
-            new = []
-            for m, w in entries:
-                m = int(m)
-                if m in table:
-                    new.extend((mm, w * ww) for mm, ww in table[m])
-                else:
-                    new.append((m, w))
-            entries = new
-        merged: dict[int, float] = {}
-        for m, w in entries:
-            m = int(m)
-            merged[m] = merged.get(m, 0.0) + w
-        resolved[node] = sorted(merged.items())
-    nodes = np.array(sorted(resolved), dtype=np.int64)
-    masters = [np.array([m for m, _ in resolved[int(n)]], dtype=np.int64) for n in nodes]
-    weights = [np.array([w for _, w in resolved[int(n)]]) for n in nodes]
-    return nodes, masters, weights
+    H = constraints._interpolation.get(n_nodes)
+    if H is not None:
+        return H
+    nodes, masters = constraints.nodes, constraints.masters
+    free = np.ones(n_nodes, dtype=bool)
+    free[nodes] = False
+    (free_ids,) = np.nonzero(free)
+    rows = np.concatenate([free_ids, np.repeat(nodes, masters.shape[1])])
+    cols = np.concatenate([free_ids, masters.ravel()])
+    vals = np.concatenate([np.ones(len(free_ids)), constraints.weights.ravel()])
+    link = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    H = link
+    for _ in range(len(nodes) + 1):
+        if free[H.indices].all():
+            break
+        H = (H @ link).tocsr()
+    else:
+        raise ValueError("hanging-node constraints form a cycle")
+    H.sum_duplicates()
+    H.sort_indices()
+    constraints._interpolation[n_nodes] = H
+    return H
 
 
 def assemble_mass_diagonal(mesh: Mesh, dofmap: DofMap, constraints: ConstraintSet | None = None) -> np.ndarray:
     """Row-sum lumped phase-field mass diagonal.
 
     On a rectangle the row sum of the Q1 mass matrix is area/4 at each
-    corner.  Hanging rows are folded into their masters so the diagonal
-    matches the constrained basis; hanging entries are set to 1.0 (they
-    are never used as free dofs).
+    corner.  Hanging rows are folded into their masters, ``H^T m``, so the
+    diagonal matches the constrained basis; hanging entries are set to 1.0
+    (they are never used as free dofs).
     """
     area4 = 0.25 * mesh.cell_size[:, 0] * mesh.cell_size[:, 1]
     diag = np.zeros(dofmap.n_phi)
@@ -127,56 +121,35 @@ def assemble_mass_diagonal(mesh: Mesh, dofmap: DofMap, constraints: ConstraintSe
     if constraints is None:
         constraints = mesh.hanging
     if len(constraints):
-        nodes, masters, weights = resolve_constraints(constraints)
-        for k, n in enumerate(nodes):
-            diag[masters[k]] += weights[k] * diag[n]
-        diag[nodes] = 1.0
+        H = hanging_interpolation(constraints, dofmap.n_nodes).tocoo()
+        # Identity rows leave the mass in place; each hanging row adds its
+        # mass to its masters, row after row in node order.
+        fold = np.isin(H.row, constraints.nodes)
+        np.add.at(diag, H.col[fold], H.data[fold] * diag[H.row[fold]])
+        diag[constraints.nodes] = 1.0
     return diag
 
 
 def constraint_operator(dofmap: DofMap, constraints: ConstraintSet, fixed: np.ndarray) -> sp.csr_matrix:
     """Square operator P mapping free-dof updates to full-vector updates.
 
-    P has a unit diagonal on free unconstrained dofs, interpolation
-    weights on hanging rows (into master columns), and empty rows and
-    columns for fixed dofs.  ``P^T M P`` with a unit diagonal restored on
-    eliminated dofs is the condensed system.
+    P is H expanded to dofs (u_x, u_y and phi of a node share its row of
+    H) with the columns of fixed dofs dropped: a unit diagonal on free
+    unconstrained dofs, interpolation weights on hanging rows (into
+    master columns), and empty rows and columns for fixed dofs.
+    ``P^T M P`` with a unit diagonal restored on eliminated dofs is the
+    condensed system.
     """
     n = dofmap.n_dofs
     fixed = np.asarray(fixed, dtype=bool)
     if fixed.shape != (n,):
         raise ValueError("fixed mask must cover all dofs")
-
-    hang_dof_rows = []
-    hang_entries = []
-    if len(constraints):
-        nodes, masters, weights = resolve_constraints(constraints)
-        for k, node in enumerate(nodes):
-            for comp_row, comp_master in (
-                (2 * node, 2 * masters[k]),
-                (2 * node + 1, 2 * masters[k] + 1),
-                (2 * dofmap.n_nodes + node, 2 * dofmap.n_nodes + masters[k]),
-            ):
-                hang_dof_rows.append(int(comp_row))
-                hang_entries.append((comp_master, weights[k]))
-
-    is_hanging = np.zeros(n, dtype=bool)
-    if hang_dof_rows:
-        is_hanging[hang_dof_rows] = True
-
-    keep = ~(fixed | is_hanging)
-    rows = [np.flatnonzero(keep)]
-    cols = [np.flatnonzero(keep)]
-    vals = [np.ones(int(keep.sum()))]
-    for row, (mcols, mw) in zip(hang_dof_rows, hang_entries):
-        ok = ~fixed[mcols]
-        rows.append(np.full(int(ok.sum()), row, dtype=np.int64))
-        cols.append(mcols[ok])
-        vals.append(mw[ok])
-    P = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    H = hanging_interpolation(constraints, dofmap.n_nodes).tocoo()
+    n_u = dofmap.n_u
+    rows = np.concatenate([2 * H.row, 2 * H.row + 1, n_u + H.row])
+    cols = np.concatenate([2 * H.col, 2 * H.col + 1, n_u + H.col])
+    keep = ~fixed[cols]
+    P = sp.csr_matrix((np.tile(H.data, 3)[keep], (rows[keep], cols[keep])), shape=(n, n))
     P.sum_duplicates()
     P.sort_indices()
     return P
@@ -217,23 +190,13 @@ def expand_update(delta: np.ndarray, P: sp.csr_matrix) -> np.ndarray:
 def apply_hanging_to_vector(vec: np.ndarray, dofmap: DofMap, constraints: ConstraintSet) -> None:
     """Overwrite hanging entries of a full state vector by interpolation.
 
-    Acts in place on a (n_dofs,) vector or on separate fields via
-    ``apply_hanging_to_fields``.
+    Acts in place: the hanging entries of each field (u_x, u_y, phi)
+    become those of ``H @ field``.
     """
     if not len(constraints):
         return
-    nodes, masters, weights = resolve_constraints(constraints)
     n = dofmap.n_nodes
-    for k, node in enumerate(nodes):
-        vec[2 * node] = weights[k] @ vec[2 * masters[k]]
-        vec[2 * node + 1] = weights[k] @ vec[2 * masters[k] + 1]
-        vec[2 * n + node] = weights[k] @ vec[2 * n + masters[k]]
-
-
-def apply_hanging_to_field(values: np.ndarray, constraints: ConstraintSet) -> None:
-    """Interpolate hanging entries of a nodal scalar or stacked field."""
-    if not len(constraints):
-        return
-    nodes, masters, weights = resolve_constraints(constraints)
-    for k, node in enumerate(nodes):
-        values[node] = weights[k] @ values[masters[k]]
+    H = hanging_interpolation(constraints, n)
+    nodes = constraints.nodes
+    for field in (vec[0:2 * n:2], vec[1:2 * n:2], vec[2 * n:]):
+        field[nodes] = (H @ field)[nodes]

@@ -9,6 +9,14 @@ differ by at most one level, enforced by closure refinement.  Midpoint
 nodes on a coarse edge bounded by two finer neighbors are hanging and
 carry an interpolation constraint with weights (0.5, 0.5).
 
+All lookups are vectorized over cells.  Lattice points are encoded as
+int64 keys ``y * width + x``, which sort by (y, x).  Node ids are the
+ranks of the unique corner keys.  The leaf containing a point is found
+with one ``searchsorted`` over the sorted leaf-origin keys per distinct
+cell size; this gives the neighbor probes of the 2:1 balance closure and
+of the boundary facets.  Hanging nodes are edge midpoints whose key is a
+node key.
+
 Cell corners are ordered counterclockwise: SW, SE, NE, NW.  Local edges
 are 0=south, 1=east, 2=north, 3=west.
 """
@@ -32,12 +40,15 @@ class ConstraintSet:
 
     ``nodes[k]`` is the id of a hanging node, constrained to the mean of
     ``masters[k, 0]`` and ``masters[k, 1]`` (the endpoints of the coarse
-    edge it sits on) with ``weights[k] = (0.5, 0.5)``.
+    edge it sits on) with ``weights[k] = (0.5, 0.5)``.  The arrays are
+    not modified after construction.
     """
 
     nodes: np.ndarray
     masters: np.ndarray
     weights: np.ndarray
+    # Interpolation matrices by node count; see fem.hanging_interpolation.
+    _interpolation: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -303,9 +314,7 @@ def refine_cells(mesh: Mesh, marks: np.ndarray) -> Mesh:
 def compute_hanging_constraints(mesh: Mesh) -> ConstraintSet:
     """Recompute the hanging-node constraints of a mesh."""
     lat = mesh._lattice
-    return _hanging_constraints(
-        lat["ix"], lat["iy"], lat["s"], lat["node_key_to_id"], mesh.cells
-    )
+    return _hanging_constraints(lat["ix"], lat["iy"], lat["s"], lat["node_keys"], mesh.cells)
 
 
 # ----------------------------------------------------------------------
@@ -323,69 +332,73 @@ def _split(ix, iy, s, marks):
     return child_ix, child_iy, child_s
 
 
-def _leaf_index(ix, iy, s):
-    """Dict mapping (ix, iy, s) -> cell row, plus the sorted size list."""
-    index = {}
-    for i in range(len(ix)):
-        index[(int(ix[i]), int(iy[i]), int(s[i]))] = i
-    sizes = sorted({int(v) for v in np.unique(s)}, reverse=True)
-    return index, sizes
+def _key_width(ix, s) -> int:
+    """Row width of the int64 lattice keys ``y * width + x``: one more
+    than the largest node x, so keys are unique and ordered by (y, x)."""
+    return int(np.max(ix + s)) + 1
 
 
-def _locate(index, sizes, px, py):
-    """Leaf containing the half-open lattice point (px, py), or -1."""
-    for t in sizes:
-        j = index.get(((px // t) * t, (py // t) * t, t))
-        if j is not None:
-            return j
-    return -1
+def _find_leaves(ix, iy, s, px, py):
+    """Row of the leaf containing each half-open lattice point (px, py), or -1.
+
+    Leaves tile the domain without overlap, so a point lies in the leaf of
+    size t whose origin is the point floored to a multiple of t, if such a
+    leaf exists.  Leaf origins are unique, so one sorted key array serves
+    every size: one ``searchsorted`` probe per distinct size.
+    """
+    width = _key_width(ix, s)
+    keys = iy * width + ix
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    found = np.full(np.shape(px), -1, dtype=np.int64)
+    flat = found.reshape(-1)
+    px, py = np.ravel(px), np.ravel(py)
+    (todo,) = np.nonzero((px >= 0) & (py >= 0) & (px < width) & (py < int(np.max(iy + s))))
+    # Most common sizes first, so that most points are settled early.
+    sizes, counts = np.unique(s, return_counts=True)
+    for t in sizes[np.argsort(-counts, kind="stable")]:
+        probe = (py[todo] // t) * t * width + (px[todo] // t) * t
+        pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        row = order[pos]
+        hit = (keys[pos] == probe) & (s[row] == t)
+        flat[todo[hit]] = row[hit]
+        todo = todo[~hit]
+    return found
 
 
 def _balance_violations(ix, iy, s):
     """Cells having an edge neighbor of size < s/2 (must be split)."""
-    index, sizes = _leaf_index(ix, iy, s)
+    # Probe outward from each cell across each edge; the leaf found there
+    # must split if it is more than twice the probing cell's size.
+    px = np.concatenate([ix - 1, ix + s, ix, ix])
+    py = np.concatenate([iy, iy, iy - 1, iy + s])
+    j = _find_leaves(ix, iy, s, px, py)
+    hit = j >= 0
     viol = np.zeros(len(ix), dtype=bool)
-    # Probe outward from each cell; if a strictly smaller neighbor exists
-    # across an edge, check the size gap from the small cell's viewpoint:
-    # its big neighbor (found through one probe point) must not exceed 2s.
-    for i in range(len(ix)):
-        x, y, t = int(ix[i]), int(iy[i]), int(s[i])
-        for px, py in ((x - 1, y), (x + t, y), (x, y - 1), (x, y + t)):
-            j = _locate(index, sizes, px, py)
-            if j >= 0 and s[j] > 2 * t:
-                viol[j] = True
+    viol[j[hit][s[j[hit]] > 2 * np.tile(s, 4)[hit]]] = True
     return viol
 
 
-def _hanging_constraints(ix, iy, s, node_key_to_id, cells):
+# Local corners bounding each edge, as the masters of its hanging midpoint.
+_MASTER_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]], dtype=np.int64)
+
+
+def _hanging_constraints(ix, iy, s, node_keys, cells):
     """Hanging nodes: existing midpoints of leaf edges of size >= 2."""
-    hang_nodes, hang_masters = [], []
-    seen = set()
-    for i in range(len(ix)):
-        t = int(s[i])
-        if t < 2:
-            continue
-        x, y = int(ix[i]), int(iy[i])
-        h = t // 2
-        # (midpoint key, local corner a, local corner b) per edge
-        probes = (
-            ((x + h, y), 0, 1),
-            ((x + t, y + h), 1, 2),
-            ((x + h, y + t), 3, 2),
-            ((x, y + h), 0, 3),
-        )
-        for key, la, lb in probes:
-            mid = node_key_to_id.get(key)
-            if mid is None or mid in seen:
-                continue
-            seen.add(mid)
-            hang_nodes.append(mid)
-            hang_masters.append((cells[i, la], cells[i, lb]))
-    if not hang_nodes:
+    width = _key_width(ix, s)
+    h = s // 2
+    # Edge midpoints per cell, local edges south, east, north, west.
+    mx = np.stack([ix + h, ix + s, ix + h, ix], axis=1)
+    my = np.stack([iy, iy + h, iy + s, iy + h], axis=1)
+    probe = my * width + mx
+    pos = np.minimum(np.searchsorted(node_keys, probe), len(node_keys) - 1)
+    cell, edge = np.nonzero((node_keys[pos] == probe) & (s >= 2)[:, None])
+    if not len(cell):
         return ConstraintSet.empty()
-    order = np.argsort(np.asarray(hang_nodes))
-    nodes = np.asarray(hang_nodes, dtype=np.int64)[order]
-    masters = np.asarray(hang_masters, dtype=np.int64)[order]
+    # The first (cell, edge) that reaches a node names its masters.
+    nodes, first = np.unique(pos[cell, edge], return_index=True)
+    corners = _MASTER_CORNERS[edge[first]]
+    masters = cells[cell[first, None], corners]
     return ConstraintSet(nodes=nodes, masters=masters, weights=np.full((len(nodes), 2), 0.5))
 
 
@@ -396,41 +409,26 @@ def _finalize(lat: dict) -> Mesh:
     order = np.lexsort((s, ix, iy))
     ix, iy, s = ix[order], iy[order], s[order]
 
-    corners_x = np.stack([ix, ix + s, ix + s, ix], axis=1).ravel()
-    corners_y = np.stack([iy, iy, iy + s, iy + s], axis=1).ravel()
-    keys = np.stack([corners_x, corners_y], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    node_order = np.lexsort((uniq[:, 0], uniq[:, 1]))
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[node_order] = np.arange(len(uniq))
-    cells = rank[inverse].reshape(-1, 4)
-    uniq_sorted = uniq[node_order]
+    # Node ids are the ranks of the unique corner keys, ordered by (y, x).
+    width = _key_width(ix, s)
+    corner_x = np.stack([ix, ix + s, ix + s, ix], axis=1)
+    corner_y = np.stack([iy, iy, iy + s, iy + s], axis=1)
+    node_keys, inverse = np.unique((corner_y * width + corner_x).ravel(), return_inverse=True)
+    cells = inverse.reshape(-1, 4)
 
     scale = lat["base_cell"] / float(2 ** lat["depth"])
-    nodes = lat["origin"] + uniq_sorted * scale
+    nodes = lat["origin"] + np.stack([node_keys % width, node_keys // width], axis=1) * scale
 
-    node_key_to_id = {
-        (int(px), int(py)): int(i) for i, (px, py) in enumerate(uniq_sorted)
-    }
+    # A cell edge is on the boundary when the lattice point just outside it
+    # (probed south, east, north, west) lies in no leaf.
+    px = np.stack([ix, ix + s, ix, ix - 1], axis=1)
+    py = np.stack([iy - 1, iy, iy + s, iy], axis=1)
+    boundary_cells, boundary_edges = np.nonzero(_find_leaves(ix, iy, s, px, py) < 0)
 
-    index, sizes = _leaf_index(ix, iy, s)
-    bcells, bedges = [], []
-    for i in range(len(ix)):
-        x, y, t = int(ix[i]), int(iy[i]), int(s[i])
-        for edge, (px, py) in enumerate(
-            ((x, y - 1), (x + t, y), (x, y + t), (x - 1, y))
-        ):
-            if _locate(index, sizes, px, py) < 0:
-                bcells.append(i)
-                bedges.append((0, 1, 2, 3)[edge])
-    boundary_cells = np.asarray(bcells, dtype=np.int64)
-    # Local edge ids above are in probe order south, east, north, west.
-    boundary_edges = np.asarray(bedges, dtype=np.int64)
-
-    hanging = _hanging_constraints(ix, iy, s, node_key_to_id, cells)
+    hanging = _hanging_constraints(ix, iy, s, node_keys, cells)
 
     lat_out = dict(lat)
-    lat_out.update(ix=ix, iy=iy, s=s, node_key_to_id=node_key_to_id)
+    lat_out.update(ix=ix, iy=iy, s=s, node_keys=node_keys)
 
     depth_levels = lat["depth"] - np.log2(s.astype(float))
     cell_level = np.round(depth_levels).astype(np.int32)

@@ -1,7 +1,7 @@
 """Quantities of interest: crack volume, crack energy, boundary loads.
 
-Evaluated once per increment; plain vectorized numpy, not performance
-critical.
+Evaluated once per increment with array operations over cells and
+boundary facets.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import DofMap
-from .kernels import _fields_at_qp, _N_TAB
+from .kernels import _G, _fields_at_qp, _N_TAB
 from .material import MaterialParams
 from .mesh import EDGE_CORNERS, EDGE_NORMALS, Mesh
 
@@ -67,20 +67,16 @@ def crack_energy(mesh: Mesh, dofmap: DofMap, state: np.ndarray,
     return float(0.5 * params.gc / params.eps * np.einsum("n,nq->", w, (phiq - 1.0) ** 2))
 
 
-# 2-point Gauss positions along a facet, in the cell reference square.
-_EDGE_QP = 1.0 / np.sqrt(3.0)
-
-
-def _edge_points(edge: int):
-    """Reference coordinates of the two Gauss points on a cell edge."""
-    t = np.array([-_EDGE_QP, _EDGE_QP])
-    if edge == 0:  # south
-        return np.column_stack([t, -np.ones(2)])
-    if edge == 1:  # east
-        return np.column_stack([np.ones(2), t])
-    if edge == 2:  # north
-        return np.column_stack([t, np.ones(2)])
-    return np.column_stack([-np.ones(2), t])  # west
+# Reference coordinates (xi, eta) of the two Gauss points on each local
+# edge (south, east, north, west) of the cell reference square.
+_EDGE_QP = np.array(
+    [
+        [[-_G, -1.0], [_G, -1.0]],
+        [[1.0, -_G], [1.0, _G]],
+        [[-_G, 1.0], [_G, 1.0]],
+        [[-1.0, -_G], [-1.0, _G]],
+    ]
+)
 
 
 def boundary_load(
@@ -94,28 +90,25 @@ def boundary_load(
     with the full undegraded Hooke stress."""
     cells, edges = mesh.marked_facets(marker)
     u, _ = _split_state(dofmap, state)
-    fx = fy = 0.0
-    for cell, edge in zip(cells, edges):
-        conn = mesh.cells[cell]
-        hx, hy = mesh.cell_size[cell]
-        normal = EDGE_NORMALS[edge]
-        ds = 0.5 * (hx if edge in (0, 2) else hy)  # half-length per Gauss weight
-        for xi, eta in _edge_points(edge):
-            dn_xi = 0.25 * np.array([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
-            dn_eta = 0.25 * np.array([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
-            dnx = dn_xi * (2.0 / hx)
-            dny = dn_eta * (2.0 / hy)
-            ux = u[2 * conn]
-            uy = u[2 * conn + 1]
-            e11 = dnx @ ux
-            e22 = dny @ uy
-            e12 = 0.5 * (dny @ ux + dnx @ uy)
-            tr = e11 + e22
-            s11 = float(2.0 * params.mu * e11 + params.lam * tr)
-            s22 = float(2.0 * params.mu * e22 + params.lam * tr)
-            s12 = float(2.0 * params.mu * e12)
-            tx = s11 * normal[0] + s12 * normal[1]
-            ty = s12 * normal[0] + s22 * normal[1]
-            fx += ds * tx
-            fy += ds * ty
+    conn = mesh.cells[cells]
+    hx, hy = mesh.cell_size[cells, 0], mesh.cell_size[cells, 1]
+    xi, eta = _EDGE_QP[edges, :, 0], _EDGE_QP[edges, :, 1]  # (facet, qp)
+    # Q1 shape derivatives at the facet Gauss points: (facet, qp, corner).
+    dnx = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=-1)
+    dny = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=-1)
+    dnx *= (2.0 / hx)[:, None, None]
+    dny *= (2.0 / hy)[:, None, None]
+    ux, uy = u[2 * conn], u[2 * conn + 1]
+    e11 = np.einsum("fqa,fa->fq", dnx, ux)
+    e22 = np.einsum("fqa,fa->fq", dny, uy)
+    e12 = 0.5 * (np.einsum("fqa,fa->fq", dny, ux) + np.einsum("fqa,fa->fq", dnx, uy))
+    tr = e11 + e22
+    s11 = 2.0 * params.mu * e11 + params.lam * tr
+    s22 = 2.0 * params.mu * e22 + params.lam * tr
+    s12 = 2.0 * params.mu * e12
+    nx, ny = EDGE_NORMALS[edges, 0][:, None], EDGE_NORMALS[edges, 1][:, None]
+    # half the facet length per Gauss weight
+    ds = 0.5 * np.where(edges % 2 == 0, hx, hy)[:, None]
+    fx = np.sum(ds * (s11 * nx + s12 * ny))
+    fy = np.sum(ds * (s12 * nx + s22 * ny))
     return float(fx), float(fy)

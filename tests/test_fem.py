@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from phasefrac.driver import RunConfig
 from phasefrac.fem import (
-    apply_hanging_to_field,
+    DofMap,
     apply_hanging_to_vector,
     assemble_mass_diagonal,
     build_dof_map,
@@ -11,11 +12,14 @@ from phasefrac.fem import (
     constraint_operator,
     eliminated_dofs,
     expand_update,
-    quadrature_points,
+    hanging_interpolation,
     reduce_residual,
-    resolve_constraints,
 )
-from phasefrac.mesh import build_rectangle_mesh, refine_cells
+from phasefrac.kernels import _DETA_TAB, _DXI_TAB, _QP
+from phasefrac.mesh import ConstraintSet, build_rectangle_mesh, refine_cells
+from phasefrac.presets import build_problem
+
+from digest_util import array_digest
 
 
 def test_dof_counts_single_cell():
@@ -48,8 +52,8 @@ def test_dof_ordering_u_first_then_phi():
 
 
 def test_quadrature_rule():
-    pts, wts = quadrature_points()
-    assert wts.sum() == pytest.approx(4.0)  # reference-square area
+    # the kernels' 2x2 Gauss points, each weighted by a quarter of the area
+    pts, wts = _QP, np.ones(4)
     g = 1.0 / np.sqrt(3.0)
     assert np.allclose(np.abs(pts), g)
     # exact for cubics per coordinate: int_{-1}^{1} x^2 dx = 2/3
@@ -96,17 +100,12 @@ def test_linear_field_gradient_exact():
     mesh = build_rectangle_mesh((0.0, 0.0), (2.0, 1.0), (3, 2))
     a, b, c = 0.3, -1.2, 2.5
     f = a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]
-    pts, _ = quadrature_points()
     for cell in range(mesh.n_cells):
         fx = f[mesh.cells[cell]]
         dx, dy = mesh.cell_size[cell]
-        for xi, eta in pts:
-            dn_dxi = 0.25 * np.array([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
-            dn_deta = 0.25 * np.array([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
-            gx = dn_dxi @ fx * (2.0 / dx)
-            gy = dn_deta @ fx * (2.0 / dy)
-            assert gx == pytest.approx(b, rel=1e-13)
-            assert gy == pytest.approx(c, rel=1e-13)
+        # every row of the kernel derivative tables is one Gauss point
+        assert _DXI_TAB @ fx * (2.0 / dx) == pytest.approx(np.full(4, b), rel=1e-13)
+        assert _DETA_TAB @ fx * (2.0 / dy) == pytest.approx(np.full(4, c), rel=1e-13)
 
 
 def _hanging_mesh():
@@ -114,12 +113,91 @@ def _hanging_mesh():
     return refine_cells(mesh, np.array([True, False]))
 
 
-def test_resolve_constraints_flat():
+def test_hanging_interpolation_rows():
     mesh = _hanging_mesh()
-    nodes, masters, weights = resolve_constraints(mesh.hanging)
-    assert not np.isin(np.concatenate([m.ravel() for m in masters]), nodes).any()
-    for w in weights:
-        assert w.sum() == pytest.approx(1.0)
+    cons = mesh.hanging
+    H = hanging_interpolation(cons, mesh.n_nodes)
+    assert H is hanging_interpolation(cons, mesh.n_nodes)  # built once
+    assert np.allclose(np.asarray(H.sum(axis=1)).ravel(), 1.0)
+    # no column of a hanging node; identity rows on unconstrained nodes
+    assert not np.isin(H.indices, cons.nodes).any()
+    free = np.setdiff1d(np.arange(mesh.n_nodes), cons.nodes)
+    assert (H[free] != sp.eye(mesh.n_nodes, format="csr")[free]).nnz == 0
+    for k, node in enumerate(cons.nodes):
+        row = H[node]
+        assert np.array_equal(row.indices, np.sort(cons.masters[k]))
+        assert np.array_equal(row.data, cons.weights[k])
+
+
+def _chain_constraints():
+    # nodes 0 and 1 are free; 2 hangs on (0, 1), 3 on (0, 2) and 4 on
+    # (3, 1): a two-link chain that balanced meshes never produce
+    return ConstraintSet(
+        nodes=np.array([2, 3, 4]),
+        masters=np.array([[0, 1], [0, 2], [3, 1]]),
+        weights=np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]]),
+    )
+
+
+def _interpolate_node(cons, values, node):
+    """Per-node recursive interpolation, the definition H must resolve."""
+    k = list(cons.nodes).index(node) if node in cons.nodes else None
+    if k is None:
+        return values[node]
+    return sum(w * _interpolate_node(cons, values, int(m))
+               for m, w in zip(cons.masters[k], cons.weights[k]))
+
+
+def test_hanging_interpolation_resolves_chains():
+    cons = _chain_constraints()
+    H = hanging_interpolation(cons, 5)
+    assert not np.isin(H.indices, cons.nodes).any()
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(5)
+    expect = [_interpolate_node(cons, v, i) for i in range(5)]
+    assert H @ v == pytest.approx(expect, rel=1e-14)
+    # projection of a state vector acts per field through the same H
+    dm = DofMap(n_nodes=5, cell_dofs=np.zeros((0, 12), dtype=np.int64))
+    vec = rng.standard_normal(dm.n_dofs)
+    apply_hanging_to_vector(vec, dm, cons)
+    for field in (vec[0:10:2], vec[1:10:2], vec[10:]):
+        assert field == pytest.approx([_interpolate_node(cons, field, i) for i in range(5)], rel=1e-14)
+
+
+def test_hanging_interpolation_rejects_cycles():
+    cons = ConstraintSet(
+        nodes=np.array([1, 2]),
+        masters=np.array([[0, 2], [0, 1]]),
+        weights=np.full((2, 2), 0.5),
+    )
+    with pytest.raises(ValueError, match="cycle"):
+        hanging_interpolation(cons, 3)
+
+
+# Digests of P, the mass diagonal and a projected random state on the
+# sneddon-itl mesh, as produced by the per-row dict-chain implementation
+# that H replaced.
+SNEDDON_ITL_DIGESTS = dict(
+    P="594886345a8572edb0ecf019510ef64abeec9d014f64961583e4bb7e423cea78",
+    mass="1c96645c5dee9aa2864efc5bc62758a1cd403eb6a4c46b1c1b76b6104612e18d",
+    project="2e686fb68e93c6d437932d3bd2eff37be9d2883bd2a8975c9f1948e2e0631c73",
+)
+
+
+def test_constraint_arrays_bit_identical_on_sneddon_itl_mesh():
+    problem, _ = build_problem(RunConfig(benchmark="sneddon2d", local_refines=4))
+    mesh = problem.mesh
+    assert len(mesh.hanging) == 288
+    dm = build_dof_map(mesh)
+    rng = np.random.default_rng(7)
+    fixed = rng.random(dm.n_dofs) < 0.1
+    P = constraint_operator(dm, mesh.hanging, fixed)
+    assert array_digest(P.indptr, P.indices, P.data) == SNEDDON_ITL_DIGESTS["P"]
+    md = assemble_mass_diagonal(mesh, dm, mesh.hanging)
+    assert array_digest(md) == SNEDDON_ITL_DIGESTS["mass"]
+    vec = rng.standard_normal(dm.n_dofs)
+    apply_hanging_to_vector(vec, dm, mesh.hanging)
+    assert array_digest(vec) == SNEDDON_ITL_DIGESTS["project"]
 
 
 def test_constraint_operator_shapes_and_identity():
@@ -182,7 +260,8 @@ def test_condensed_update_zero_on_eliminated_dofs():
     dx = expand_update(x, P)
     assert np.allclose(dx[[0, 1, 5]], 0.0)
     # hanging dofs received the interpolated update
-    nodes, masters, weights = resolve_constraints(mesh.hanging)
+    cons = mesh.hanging
+    nodes, masters, weights = cons.nodes, cons.masters, cons.weights
     for k, node in enumerate(nodes):
         hd = dm.phi_dof(node)
         md = dm.phi_dof(masters[k])
@@ -197,7 +276,8 @@ def test_reduced_residual_folds_hanging_rows():
     fixed = np.zeros(dm.n_dofs, dtype=bool)
     P = constraint_operator(dm, mesh.hanging, fixed)
     red = reduce_residual(r, P)
-    nodes, masters, weights = resolve_constraints(mesh.hanging)
+    cons = mesh.hanging
+    nodes, masters, weights = cons.nodes, cons.masters, cons.weights
     hd = dm.phi_dof(nodes[0])
     md = dm.phi_dof(masters[0])
     assert red[hd] == 0.0
@@ -209,7 +289,8 @@ def test_apply_hanging_interpolates_state():
     dm = build_dof_map(mesh)
     vec = np.arange(dm.n_dofs, dtype=float)
     apply_hanging_to_vector(vec, dm, mesh.hanging)
-    nodes, masters, weights = resolve_constraints(mesh.hanging)
+    cons = mesh.hanging
+    nodes, masters, weights = cons.nodes, cons.masters, cons.weights
     for k, node in enumerate(nodes):
         for dof, mdofs in (
             (dm.u_dof(node, 0), dm.u_dof(masters[k], 0)),
@@ -217,10 +298,6 @@ def test_apply_hanging_interpolates_state():
             (dm.phi_dof(node), dm.phi_dof(masters[k])),
         ):
             assert vec[dof] == pytest.approx(float(weights[k] @ vec[mdofs]))
-    field = np.arange(mesh.n_nodes, dtype=float) ** 2
-    apply_hanging_to_field(field, mesh.hanging)
-    for k, node in enumerate(nodes):
-        assert field[node] == pytest.approx(float(weights[k] @ field[masters[k]]))
 
 
 def test_fixed_mask_size_checked():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phasefrac.driver import RunConfig
 from phasefrac.mesh import (
     ConstraintSet,
     build_lshape_mesh,
@@ -10,6 +11,9 @@ from phasefrac.mesh import (
     refine_cells,
     refine_global,
 )
+from phasefrac.presets import build_problem
+
+from digest_util import mesh_digest
 
 
 def domain_area(mesh):
@@ -41,6 +45,8 @@ def test_box_refined_mesh_reaches_reported_resolution():
     assert mesh.h_min == pytest.approx(0.02209708691207961)
     assert mesh.n_cells == 266404
     assert domain_area(mesh) == pytest.approx(400.0, rel=1e-14)
+    assert len(mesh.hanging) == 2016
+    assert mesh_digest(mesh) == "3813af7aa487beba1e8e8592ca25b28787a2046b71caba59d5474920e62ae276"
 
 
 def test_refine_global_quarters_cells_and_halves_h():
@@ -155,6 +161,9 @@ def test_lshape_cell_counts_and_area():
     assert mesh5.h_min == pytest.approx(250.0 / 2**5 * np.sqrt(2.0))
     assert mesh5.h_min == pytest.approx(11.048543456039804, rel=1e-12)
     assert domain_area(mesh5) == pytest.approx(3 * 250.0**2, rel=1e-14)
+    assert mesh_digest(build_lshape_mesh(3)) == (
+        "938034f71d02bc0519e4ea33299f1796f5c794e442f7d911c94c36bba48a536e"
+    )
 
 
 def test_lshape_markers():
@@ -198,3 +207,28 @@ def test_mesh_build_deterministic():
 def test_constraint_set_empty():
     cons = ConstraintSet.empty()
     assert len(cons) == 0
+
+
+# Digests of the preset meshes as built by the dict-lattice implementation
+# that preceded the vectorized lookups: every array, dtype and shape must
+# stay identical so that every solve on them stays identical too.
+PRESET_MESH_DIGESTS = {
+    # the three benchmark meshes
+    ("sneddon2d", 4, None): (288, "115b691f0b5d4545e9ce79b0aed28f4d2c762b929f7bd19f9f38f8bedb1e9bda"),
+    ("sens", 0, None): (0, "328bc69c428fbb62d0653cc8fe2a94a027428ab9bccbeef991084e57be5d27b0"),
+    ("lpanel", None, 5): (0, "e1692396359a0c2d8bdd8564e467aca2aae676f2517f26c39336cebe71ce1388"),
+    # hanging nodes on the SENS corridor, and one more Sneddon level
+    ("sens", 1, None): (49, "e2c97e5318a54f00460a4717a9d48cf94911210f3b566a4dee08cc2b3b44bcaa"),
+    ("sneddon2d", 5, None): (384, "eab518a27a216fc5bea2ad25f3a3995dd11c8fe0d8a4c49ea8b52c0264890ede"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRESET_MESH_DIGESTS, key=str), ids=str)
+def test_preset_meshes_bit_identical(key):
+    benchmark, local_refines, global_refines = key
+    problem, _ = build_problem(RunConfig(
+        benchmark=benchmark, local_refines=local_refines, global_refines=global_refines,
+    ))
+    n_hanging, digest = PRESET_MESH_DIGESTS[key]
+    assert len(problem.mesh.hanging) == n_hanging
+    assert mesh_digest(problem.mesh) == digest
