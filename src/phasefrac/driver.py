@@ -14,7 +14,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .fem import apply_hanging_to_vector, assemble_mass_diagonal, build_dof_map
+from .fem import (
+    apply_hanging_to_vector,
+    assemble_mass_diagonal,
+    build_dof_map,
+    constraint_operator,
+    eliminated_dofs,
+)
 from .linsolve import GmresSettings
 from .material import (
     LINEARIZE_EXTRAPOLATE,
@@ -122,6 +128,11 @@ def run_incremental_loop(
     assembler = Assembler(mesh, dofmap, problem.params)
     mass_diag = assemble_mass_diagonal(mesh, dofmap, constraints)
     n = dofmap.n_nodes
+    # the phase-field dofs the solver classifies: those with a non-empty
+    # column of the constraint operator (neither hanging nor Dirichlet)
+    classifiable = ~eliminated_dofs(
+        constraint_operator(dofmap, constraints, problem.fixed)
+    )[2 * n:]
 
     state = np.zeros(dofmap.n_dofs)
     state[2 * n:] = problem.initial_phi
@@ -188,9 +199,6 @@ def run_incremental_loop(
 
         phi_new = state[2 * n:].copy()
         irrev = float((phi_old - phi_new).min())
-        classifiable = np.ones(n, dtype=bool)
-        classifiable[constraints.nodes] = False
-        classifiable &= ~problem.fixed[2 * n:]
         kkt = kkt_check(
             phi_new, phi_old, report.lambda_mult, 10.0 * settings.tol_newton,
             mask=classifiable,

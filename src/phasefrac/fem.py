@@ -12,10 +12,13 @@ constraint operator P is H expanded to dofs with the fixed columns
 dropped, and the lumped mass fold is ``H^T m``.
 
 Constraint handling (hanging nodes, Dirichlet dofs, active-set dofs)
-keeps the full system size: constrained rows and columns are folded or
-zeroed and the diagonal is set to one with a zero right-hand side, so a
-solved update is identically zero on eliminated dofs and interpolated on
-hanging dofs.
+keeps the full system size: ``condense_system`` folds constrained rows
+and columns through P and sets a unit diagonal with a zero right-hand
+side on eliminated dofs.  A residual is reduced by ``P^T @`` and a
+solved update expanded by ``P @``, so the update is identically zero on
+eliminated dofs and interpolated on hanging dofs.  The Newton solver
+builds P once per linearization and eliminates an active set by
+dropping its columns (see ``newton.pdas_loop``).
 """
 
 from __future__ import annotations
@@ -155,6 +158,21 @@ def constraint_operator(dofmap: DofMap, constraints: ConstraintSet, fixed: np.nd
     return P
 
 
+def drop_columns(P: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:
+    """P with the columns of ``dofs`` emptied.
+
+    Equal, array for array, to the constraint operator built with
+    ``dofs`` added to the fixed mask: the solver eliminates an active set
+    this way without rebuilding P.
+    """
+    drop = np.zeros(P.shape[1], dtype=bool)
+    drop[dofs] = True
+    out = P.copy()
+    out.data[drop[out.indices]] = 0.0
+    out.eliminate_zeros()
+    return out
+
+
 def eliminated_dofs(P: sp.csr_matrix) -> np.ndarray:
     """Dofs with an empty column in P (fixed dofs and hanging dofs)."""
     col_counts = np.bincount(P.indices, minlength=P.shape[1])
@@ -175,16 +193,6 @@ def condense_system(matrix: sp.csr_matrix, rhs: np.ndarray, P: sp.csr_matrix):
     Mt.sort_indices()
     rt = P.T @ rhs
     return Mt, rt
-
-
-def reduce_residual(rhs: np.ndarray, P: sp.csr_matrix) -> np.ndarray:
-    """Residual seen by the condensed system (constrained rows folded)."""
-    return P.T @ rhs
-
-
-def expand_update(delta: np.ndarray, P: sp.csr_matrix) -> np.ndarray:
-    """Distribute a condensed update to the full vector (hanging filled)."""
-    return P @ delta
 
 
 def apply_hanging_to_vector(vec: np.ndarray, dofmap: DofMap, constraints: ConstraintSet) -> None:

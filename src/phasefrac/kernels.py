@@ -91,21 +91,22 @@ class AssemblyPlan:
 
     def __init__(self, cell_dofs: np.ndarray, n_dofs: int):
         n_cells = cell_dofs.shape[0]
-        rows = np.repeat(cell_dofs, 12, axis=1).ravel()
-        cols = np.tile(cell_dofs, (1, 12)).ravel()
-        order = np.lexsort((cols, rows))
-        rs, cs = rows[order], cols[order]
-        new = np.empty(len(rs), dtype=bool)
+        # one int64 key row * n_dofs + col per block entry, so sorted keys
+        # are in CSR order
+        keys = (cell_dofs[:, :, None] * n_dofs + cell_dofs[:, None, :]).ravel()
+        order = np.argsort(keys, kind="stable")
+        ks = keys[order]
+        new = np.empty(len(ks), dtype=bool)
         new[0] = True
-        new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
+        new[1:] = ks[1:] != ks[:-1]
         slot_sorted = np.cumsum(new) - 1
-        slots = np.empty(len(rows), dtype=np.int64)
+        slots = np.empty(len(keys), dtype=np.int64)
         slots[order] = slot_sorted
         nnz = int(slot_sorted[-1]) + 1
-        indices = cs[new]
-        row_of = rs[new]
+        entries = ks[new]
+        indices = entries % n_dofs
         indptr = np.zeros(n_dofs + 1, dtype=np.int64)
-        np.add.at(indptr, row_of + 1, 1)
+        np.add.at(indptr, entries // n_dofs + 1, 1)
         indptr = np.cumsum(indptr)
 
         self.n_dofs = n_dofs
@@ -256,6 +257,33 @@ def _split_tangent(e11, e22, e12, mu, lam, gdeg, split, D):
 # ----------------------------------------------------------------------
 
 
+def _principal_strains(e11, e22, e12):
+    """Principal decomposition of the strain, shared by stress and tangent.
+
+    Returns (iso, htr, l1, l2, lp1, lp2, c2, s2, cs): ``iso`` flags
+    repeated principal strains (relative spread below ISO_TOL, or zero
+    strain), ``htr`` is 1 where the trace is positive, l1 >= l2 are the
+    principal strains and lp1, lp2 their positive parts, and c2, s2, cs
+    are cos^2, sin^2 and sin*cos of the principal angle (taken with a
+    unit radius where ``iso``).
+    """
+    m = 0.5 * (e11 + e22)
+    d = 0.5 * (e11 - e22)
+    r = np.hypot(d, e12)
+    frob = np.sqrt(e11**2 + e22**2 + 2.0 * e12**2)
+    iso = (2.0 * r <= ISO_TOL * frob) | (frob == 0.0)
+    htr = (e11 + e22 > 0.0).astype(float)
+    rsafe = np.where(iso, 1.0, r)
+    l1 = m + r
+    l2 = m - r
+    ct = d / rsafe  # cos(2 theta)
+    st = e12 / rsafe  # sin(2 theta)
+    return (
+        iso, htr, l1, l2, np.maximum(l1, 0.0), np.maximum(l2, 0.0),
+        0.5 * (1.0 + ct), 0.5 * (1.0 - ct), 0.5 * st,
+    )
+
+
 def _split_stress_numpy(e11, e22, e12, mu, lam, split):
     """Vectorized stress split; arrays shaped (n_cells, 4)."""
     tr = e11 + e22
@@ -267,24 +295,8 @@ def _split_stress_numpy(e11, e22, e12, mu, lam, split):
         z = np.zeros_like(s11)
         return s11, s22, s12, z, z, z, psi
 
-    m = 0.5 * (e11 + e22)
-    d = 0.5 * (e11 - e22)
-    r = np.hypot(d, e12)
-    frob = np.sqrt(e11**2 + e22**2 + 2.0 * e12**2)
-    iso = (2.0 * r <= ISO_TOL * frob) | (frob == 0.0)
-    htr = (tr > 0.0).astype(float)
+    iso, htr, l1, l2, lp1, lp2, c2, s2, cs = _principal_strains(e11, e22, e12)
     trp = np.maximum(tr, 0.0)
-
-    rsafe = np.where(iso, 1.0, r)
-    l1 = m + r
-    l2 = m - r
-    ct = d / rsafe
-    st = e12 / rsafe
-    c2 = 0.5 * (1.0 + ct)
-    s2 = 0.5 * (1.0 - ct)
-    cs = 0.5 * st
-    lp1 = np.maximum(l1, 0.0)
-    lp2 = np.maximum(l2, 0.0)
     ep11 = lp1 * c2 + lp2 * s2
     ep22 = lp1 * s2 + lp2 * c2
     ep12 = (lp1 - lp2) * cs
@@ -311,26 +323,9 @@ def _split_tangent_numpy(e11, e22, e12, mu, lam, gdeg, split):
     if split == SPLIT_NONE:
         return gdeg[..., None, None] * c_full
 
-    m = 0.5 * (e11 + e22)
-    d = 0.5 * (e11 - e22)
-    r = np.hypot(d, e12)
-    frob = np.sqrt(e11**2 + e22**2 + 2.0 * e12**2)
-    tr = e11 + e22
-    iso = (2.0 * r <= ISO_TOL * frob) | (frob == 0.0)
-    htr = (tr > 0.0).astype(float)
-
-    rsafe = np.where(iso, 1.0, r)
-    l1 = m + r
-    l2 = m - r
-    ct = d / rsafe
-    st = e12 / rsafe
-    c2 = 0.5 * (1.0 + ct)
-    s2 = 0.5 * (1.0 - ct)
-    cs = 0.5 * st
+    iso, htr, l1, l2, lp1, lp2, c2, s2, cs = _principal_strains(e11, e22, e12)
     h1 = (l1 > 0.0).astype(float)
     h2 = (l2 > 0.0).astype(float)
-    lp1 = np.maximum(l1, 0.0)
-    lp2 = np.maximum(l2, 0.0)
     cc = np.where(iso, 0.0, (lp1 - lp2) / np.where(iso, 1.0, l1 - l2))
 
     p1 = np.stack([c2, s2, cs], axis=-1)

@@ -1,26 +1,27 @@
 """Restarted GMRES with right preconditioning, and the two-stage solve.
 
 Modified Gram-Schmidt Arnoldi with Givens rotations; the least-squares
-residual is updated rotation by rotation, so the per-iteration history
-comes out without extra matvecs.  Right preconditioning keeps the
-monitored residual equal to the true unpreconditioned residual.
+residual is updated rotation by rotation, so convergence is detected
+without extra matvecs.  Right preconditioning keeps the monitored
+residual equal to the true unpreconditioned residual.
 
-The Newton solver hands each stage of :func:`solve_block_triangular` a
-sparse LU factorization of that stage's diagonal block as its
-preconditioner (see ``newton.pdas_loop``); with the exact phase-field
-factor the second stage converges in one or two iterations.  GMRES stays
-around the LU because its absolute stopping target fixes how exactly
-each Newton direction is solved, and the spectral-split Newton counts of
-the SENS benchmark are chaotic in that accuracy.  On its ten-increment
-run, solving both stages directly takes the fifth increment from 4
-Newton steps to 8; solving only the phase-field stage directly raises
-one perturbed load step size from 77 steps in total to 85, 17 of them
-in one increment.
+The Newton solver slices the condensed system into its two diagonal
+blocks and the coupling block and hands each stage of
+:func:`solve_block_triangular` a sparse LU factorization of that stage's
+diagonal block as its preconditioner (see ``newton.pdas_loop``); with
+the exact phase-field factor the second stage converges in one or two
+iterations.  GMRES stays around the LU because its absolute stopping
+target fixes how exactly each Newton direction is solved, and the
+spectral-split Newton counts of the SENS benchmark are chaotic in that
+accuracy.  On its ten-increment run, solving both stages directly takes
+the fifth increment from 4 Newton steps to 8; solving only the
+phase-field stage directly raises one perturbed load step size from 77
+steps in total to 85, 17 of them in one increment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +31,6 @@ import scipy.sparse as sp
 @dataclass
 class GmresSettings:
     rel_tol: float = 1.0e-8
-    abs_tol: float = 0.0
     restart: int = 100
     # beyond a few restart cycles the Krylov solve is stalling, and the
     # caller's direct fallback is cheaper than more cycles
@@ -42,7 +42,6 @@ class GmresResult:
     x: np.ndarray
     converged: bool
     n_iters: int
-    residuals: list = field(default_factory=list)
     stage_iters: Optional[tuple] = None  # per-stage counts for block solves
 
 
@@ -50,31 +49,30 @@ def gmres(
     matrix: sp.csr_matrix,
     rhs: np.ndarray,
     settings: Optional[GmresSettings] = None,
-    x0: Optional[np.ndarray] = None,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    tol: Optional[float] = None,
 ) -> GmresResult:
-    """Solve matrix @ x = rhs; residual history in the result is the true
-    2-norm residual at each Arnoldi step (monotone within one cycle).
+    """Solve matrix @ x = rhs from a zero start until the 2-norm residual
+    is at most ``tol`` (default ``settings.rel_tol * |rhs|``).
 
     ``precond`` applies M^{-1} (right preconditioning); without one the
     iteration is unpreconditioned.
     """
     settings = settings or GmresSettings()
     n = len(rhs)
-    x = np.zeros(n) if x0 is None else x0.astype(float).copy()
+    x = np.zeros(n)
     if precond is None:
         precond = lambda y: y
 
     norm_b = np.linalg.norm(rhs)
-    tol = max(settings.rel_tol * norm_b, settings.abs_tol)
-    residuals = []
+    if tol is None:
+        tol = settings.rel_tol * norm_b
     total = 0
 
     r = rhs - matrix @ x
     beta = np.linalg.norm(r)
-    residuals.append(beta)
     if beta <= tol or norm_b == 0.0:
-        return GmresResult(x, True, 0, residuals)
+        return GmresResult(x, True, 0)
 
     m = settings.restart
     while total < settings.max_iters:
@@ -117,9 +115,7 @@ def gmres(
 
             total += 1
             k_used = k + 1
-            res = abs(g[k + 1])
-            residuals.append(res)
-            if res <= tol:
+            if abs(g[k + 1]) <= tol:
                 break
             if h_next == 0.0:  # invariant subspace reached
                 break
@@ -133,50 +129,44 @@ def gmres(
         r = rhs - matrix @ x
         beta = np.linalg.norm(r)
         if beta <= tol:
-            return GmresResult(x, True, total, residuals)
+            return GmresResult(x, True, total)
         if k_used == 0:
             break
 
-    return GmresResult(x, False, total, residuals)
+    return GmresResult(x, False, total)
 
 
 def solve_block_triangular(
-    matrix: sp.csr_matrix,
+    lead: sp.csr_matrix,
+    coupling: sp.csr_matrix,
+    trail: sp.csr_matrix,
     rhs: np.ndarray,
-    split: int,
     settings: Optional[GmresSettings] = None,
     stage_preconds: tuple = (None, None),
 ) -> GmresResult:
     """Two-stage solve of a block lower-triangular system.
 
-    Rows/columns below ``split`` form the leading diagonal block; the
-    trailing block sees the leading solution through the coupling block.
-    The upper-right block is structurally zero, so the two stages solve
-    the full system.  Each stage runs GMRES with its own preconditioner
+    The system is [[lead, 0], [coupling, trail]]: the leading block is
+    solved first, and the trailing block sees its solution through the
+    coupling block.  Each stage runs GMRES with its own preconditioner
     applier from ``stage_preconds`` (``None`` runs that stage
     unpreconditioned), which keeps badly scaled blocks from polluting
-    each other.  ``split == 0`` leaves an empty leading block, so the
-    whole system is one stage.
+    each other.  An empty (0 x 0) leading block makes the whole system
+    one stage.
     """
     settings = settings or GmresSettings()
-    csr = matrix.tocsr()
-    A = csr[:split, :split]
-    C = csr[split:, :split]
-    B = csr[split:, split:]
+    split = lead.shape[0]
     # One absolute target from the full right-hand side, so a stage whose
     # own rhs is already below it returns immediately instead of chasing
     # a relative tolerance on a negligible block.  The stages contribute
     # orthogonal residual blocks, hence the 1/sqrt(2) to keep the combined
     # residual within the requested tolerance.
-    target = max(settings.rel_tol * float(np.linalg.norm(rhs)), settings.abs_tol)
-    stage = replace(settings, rel_tol=0.0, abs_tol=target / np.sqrt(2.0))
-    first = gmres(A, rhs[:split], stage, precond=stage_preconds[0])
-    second = gmres(B, rhs[split:] - C @ first.x, stage, precond=stage_preconds[1])
-    x = np.concatenate([first.x, second.x])
+    tol = settings.rel_tol * float(np.linalg.norm(rhs)) / np.sqrt(2.0)
+    first = gmres(lead, rhs[:split], settings, stage_preconds[0], tol)
+    second = gmres(trail, rhs[split:] - coupling @ first.x, settings, stage_preconds[1], tol)
     return GmresResult(
-        x,
+        np.concatenate([first.x, second.x]),
         first.converged and second.converged,
         first.n_iters + second.n_iters,
-        first.residuals + second.residuals,
         stage_iters=(first.n_iters, second.n_iters),
     )

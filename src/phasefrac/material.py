@@ -8,7 +8,7 @@ intact material and 0 on the fully developed crack; the constraint
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,6 +137,3 @@ class Assembler:
         matrix = self.plan.matrix_from_blocks(kblocks)
         rhs = self.plan.vector_from_blocks(fblocks)
         return matrix, rhs
-
-    def with_params(self, **changes) -> "Assembler":
-        return Assembler(self.mesh, self.dofmap, replace(self.params, **changes))

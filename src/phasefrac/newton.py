@@ -12,26 +12,35 @@ for the active-set constant c govern classification and stopping:
             of additional iterations
     case 4: constant c, residual-only stopping
 
-The engine is generic over a :class:`BoundSystem`; adapters exist for
-the assembled FEM problem and for small obstacle-type test problems.
+Cases 1 and 2 also stop on a small reduced residual when the mask has
+cycled with period two for two periods (A, B, A, B): grazing dofs whose
+multiplier and bound gap both sit at rounding level can toggle forever
+without changing the solution.
+
+The engine is generic over a :class:`BoundSystem`, which carries one
+static constraint operator P.  The engine eliminates an active set by
+dropping its phase-field columns from P and condensing with the result,
+so the FEM problem and the small test problems share one elimination.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as sps
 
 from .fem import (
     DofMap,
     apply_hanging_to_vector,
     condense_system,
     constraint_operator,
-    expand_update,
-    reduce_residual,
+    drop_columns,
+    eliminated_dofs,
 )
-import scipy.sparse.linalg as sps
 
 from .linsolve import GmresResult, GmresSettings, solve_block_triangular
 from .material import Assembler
@@ -90,21 +99,6 @@ class NewtonReport:
     case3_first_hit: Optional[int] = None
     lambda_mult: Optional[np.ndarray] = None
     active: Optional[np.ndarray] = None
-
-
-def complementarity_residual(lam: float, dphi: float, c: float) -> float:
-    """C(lambda, dphi; c) = lambda - max(0, lambda + c*dphi).
-
-    Zero exactly when (dphi <= 0, lambda >= 0, lambda*dphi = 0).
-    """
-    return lam - max(0.0, lam + c * dphi)
-
-
-def adaptive_c(lam: float, dphi: float, fallback: float) -> float:
-    """Per-dof active-set constant 2|lambda/dphi| with guarded fallback."""
-    if lam != 0.0 and abs(dphi) > 1.0e-14 * max(1.0, abs(lam)):
-        return 2.0 * abs(lam / dphi)
-    return fallback
 
 
 def classify_active_set(
@@ -189,21 +183,18 @@ class BoundSystem:
     """A bound-constrained nonlinear system the PDAS engine can solve.
 
     ``residual``/``system`` evaluate the full-size right-hand side and
-    Jacobian; ``reduce``/``condense``/``expand`` map between the full
-    and reduced (active + fixed dofs removed) representations for a
-    given active mask over the constrained dofs.
+    Jacobian.  ``P`` is the static constraint operator: the hanging-node
+    interpolation with the columns of Dirichlet dofs dropped (the
+    identity for a system without either).  Bound-constrained dofs with
+    an empty column of P are never classified.
     """
 
-    n_dofs: int
     phi_dofs: np.ndarray  # indices of constrained dofs in the state
     phi_upper: np.ndarray  # bound values, same length
     mass_diag: np.ndarray
-    classifiable: np.ndarray
+    P: sp.csr_matrix
     residual: Callable[[np.ndarray], np.ndarray]
     system: Callable[[np.ndarray], tuple]
-    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    condense: Callable
-    expand: Callable[[np.ndarray, np.ndarray], np.ndarray]
     project: Optional[Callable[[np.ndarray], None]] = None  # post-update hook
     block_split: int = 0  # leading-block size of the two-stage solve
 
@@ -219,6 +210,12 @@ def pdas_loop(
     One iteration = one reduced linear solve.  Stopping is evaluated at
     the top of each pass on the freshly classified, projected state.
 
+    The active set is eliminated through the constraint operator: for
+    each new mask, ``Pa`` is ``system.P`` with the active phase-field
+    columns dropped, the Jacobian is condensed to ``Pa^T J Pa`` (unit
+    diagonal on eliminated dofs), residuals are reduced by ``Pa^T`` and
+    updates expanded by ``Pa``.
+
     The reduced system is block lower triangular (the displacement rows
     see the frozen linearization, not the phase field), so it is solved
     in two GMRES stages, each preconditioned by a sparse LU of its
@@ -233,25 +230,31 @@ def pdas_loop(
     report = NewtonReport()
     pdofs = system.phi_dofs
     upper = system.phi_upper
+    classifiable = ~eliminated_dofs(system.P)[pdofs]
 
-    prev_mask: Optional[ActiveSetMask] = None
+    # masks of the last three passes, newest last
+    recent: deque = deque(maxlen=3)
     case3_hit: Optional[int] = None
     split = system.block_split
     # Lagged factorization of the leading block: the displacement block
     # drifts only through the refrozen stress split, so one factor serves
     # many Newton steps as a near-exact GMRES preconditioner.
     lead_precond: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    Pa: Optional[sp.csr_matrix] = None
 
     # full residual of the current state; later passes take the one the
     # line search computed for the accepted trial
     raw = system.residual(state)
     while True:
+        prev_mask = recent[-1] if recent else None
         mask = classify_active_set(
             raw[pdofs], system.mass_diag, state[pdofs], upper, settings,
-            system.classifiable,
+            classifiable,
             previous=prev_mask.flags if prev_mask is not None else None,
         )
         act = mask.flags
+        if Pa is None or mask != prev_mask:
+            Pa = drop_columns(system.P, pdofs[act])
         moved = act & (state[pdofs] != upper)
         if moved.any():
             state[pdofs[moved]] = upper[moved]
@@ -261,26 +264,30 @@ def pdas_loop(
         lam = np.zeros(len(pdofs))
         lam[act] = raw[pdofs[act]] / system.mass_diag[act]
 
-        reduced = system.reduce(raw, act)
-        rnorm = float(np.linalg.norm(reduced))
+        rnorm = float(np.linalg.norm(Pa.T @ raw))
         small = rnorm <= settings.tol_newton
         if settings.case in (1, 2):
             # At entry (no previous mask) the classification of a warm
             # state counts as stable; a converged state is left untouched
             # instead of being jittered by noise-sized updates.
             stable = prev_mask is None or mask == prev_mask
-            done = small and stable
+            # Two full periods of a two-mask cycle: the toggling dofs have
+            # multipliers and bound gaps at rounding level, and neither
+            # mask is left by further steps.
+            cycling = len(recent) == 3 and mask == recent[-2] and recent[-1] == recent[0]
+            done = small and (stable or cycling)
+            reason = "converged" if stable else "active_set_cycle"
         elif settings.case == 3:
             if case3_hit is None and small:
                 case3_hit = report.iterations
             done = case3_hit is not None and report.iterations >= case3_hit + settings.case3_extra_iterations
+            reason = "case3_extra_done"
         else:
             done = small
+            reason = "converged"
         if done:
             report.converged = True
-            report.termination_reason = (
-                "case3_extra_done" if settings.case == 3 else "converged"
-            )
+            report.termination_reason = reason
             report.final_residual = rnorm
             break
         if report.iterations >= settings.max_iterations:
@@ -290,17 +297,17 @@ def pdas_loop(
             break
 
         matrix, rhs = system.system(state)
-        mat_red, rhs_red = system.condense(matrix, rhs, act)
-        mat_red = mat_red.tocsr()
+        mat_red, rhs_red = condense_system(matrix, rhs, Pa)
+        lead = mat_red[:split, :split]
+        coupling = mat_red[split:, :split]
+        trail = mat_red[split:, split:]
         if split and lead_precond is None:
-            lead_precond = sps.splu(mat_red[:split, :split].tocsc()).solve
+            lead_precond = sps.splu(lead.tocsc()).solve
         # the trailing factor lives only for this solve, so two of them
         # never coexist in memory
         sol = solve_block_triangular(
-            mat_red, rhs_red, split, gmres_settings,
-            stage_preconds=(
-                lead_precond, sps.splu(mat_red[split:, split:].tocsc()).solve,
-            ),
+            lead, coupling, trail, rhs_red, gmres_settings,
+            stage_preconds=(lead_precond, sps.splu(trail.tocsc()).solve),
         )
         stage_iters = sol.stage_iters
         if stage_iters[0] > 30:
@@ -313,7 +320,7 @@ def pdas_loop(
             )
             lead_precond = None
             report.linear_fallbacks += 1
-        delta = system.expand(sol.x, act)
+        delta = Pa @ sol.x
 
         step = 1.0
         for l in range(settings.l_max + 1):
@@ -321,7 +328,7 @@ def pdas_loop(
             if system.project is not None:
                 system.project(trial)
             raw = system.residual(trial)
-            tnorm = float(np.linalg.norm(system.reduce(raw, act)))
+            tnorm = float(np.linalg.norm(Pa.T @ raw))
             if tnorm < rnorm:
                 break
             step *= settings.omega
@@ -335,7 +342,7 @@ def pdas_loop(
         report.active_set_sizes.append(mask.size)
         report.gmres_iterations.append(sol.n_iters)
         report.stage_iterations.append(stage_iters)
-        prev_mask = mask
+        recent.append(mask)
 
     report.lambda_mult = lam
     report.active = act.copy()
@@ -360,55 +367,22 @@ def fem_bound_system(
     """Wrap the assembled phase-field problem for the PDAS engine.
 
     ``fixed`` is the boolean Dirichlet mask over all dofs (values
-    already written into the state; updates vanish there).  Hanging
-    phase-field dofs and Dirichlet phase-field dofs are not classified.
+    already written into the state; updates vanish there).  The
+    constraint operator is built here, once per linearization.
     """
     n_nodes = dofmap.n_nodes
-    phi_dofs = 2 * n_nodes + np.arange(n_nodes)
-    classifiable = ~fixed[phi_dofs]
-    classifiable[constraints.nodes] = False
-
-    op_cache = {}
-
-    def make_operator(active):
-        key = active.tobytes()
-        if key not in op_cache:
-            full_fixed = fixed.copy()
-            full_fixed[phi_dofs[active]] = True
-            op_cache.clear()  # one entry is enough: masks repeat only back to back
-            op_cache[key] = constraint_operator(dofmap, constraints, full_fixed)
-        return op_cache[key]
-
-    def _residual(state):
-        return assembler.residual(state, phi_lin)
-
-    def _system(state):
-        return assembler.system(state, phi_lin)
-
-    def _reduce(rhs, active):
-        return reduce_residual(rhs, make_operator(active))
-
-    def _condense(matrix, rhs, active):
-        return condense_system(matrix, rhs, make_operator(active))
-
-    def _expand(delta_red, active):
-        return expand_update(delta_red, make_operator(active))
 
     def _project(state):
         if len(constraints):
             apply_hanging_to_vector(state, dofmap, constraints)
 
     return BoundSystem(
-        n_dofs=dofmap.n_dofs,
-        phi_dofs=phi_dofs,
+        phi_dofs=2 * n_nodes + np.arange(n_nodes),
         phi_upper=phi_old.astype(float).copy(),
         mass_diag=mass_diag,
-        classifiable=classifiable,
-        residual=_residual,
-        system=_system,
-        reduce=_reduce,
-        condense=_condense,
-        expand=_expand,
+        P=constraint_operator(dofmap, constraints, fixed),
+        residual=lambda state: assembler.residual(state, phi_lin),
+        system=lambda state: assembler.system(state, phi_lin),
         project=_project,
         block_split=2 * n_nodes,
     )

@@ -23,7 +23,6 @@ def obstacle_system(A, b, ub):
     """Wrap the quadratic obstacle problem as a BoundSystem."""
     A = sp.csr_matrix(A)
     n = A.shape[0]
-    pdofs = np.arange(n)
 
     def residual(state):
         return b - A @ state
@@ -31,37 +30,13 @@ def obstacle_system(A, b, ub):
     def system(state):
         return A.copy(), b - A @ state
 
-    def reduce(vec, act):
-        out = vec.copy()
-        out[pdofs[act]] = 0.0
-        return out
-
-    def condense(matrix, rhs, act):
-        dense = matrix.toarray().copy()
-        idx = pdofs[act]
-        dense[idx, :] = 0.0
-        dense[:, idx] = 0.0
-        dense[idx, idx] = 1.0
-        r = rhs.copy()
-        r[idx] = 0.0
-        return sp.csr_matrix(dense), r
-
-    def expand(x, act):
-        out = x.copy()
-        out[pdofs[act]] = 0.0
-        return out
-
     return BoundSystem(
-        n_dofs=n,
-        phi_dofs=pdofs,
+        phi_dofs=np.arange(n),
         phi_upper=ub.astype(float).copy(),
         mass_diag=np.ones(n),
-        classifiable=np.ones(n, dtype=bool),
+        P=sp.identity(n, format="csr"),
         residual=residual,
         system=system,
-        reduce=reduce,
-        condense=condense,
-        expand=expand,
     )
 
 

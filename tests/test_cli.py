@@ -26,7 +26,7 @@ def test_coarse_run_exits_zero_and_writes_qoi_csv(tmp_path):
     echo = (out / "config.echo").read_text().splitlines()
     keys = {line.split(" = ")[0] for line in echo if " = " in line}
     assert {"gmres.rel_tol", "gmres.max_iters"} <= keys
-    assert not keys & {"gmres.preconditioner", "gmres.method"}
+    assert not keys & {"gmres.preconditioner", "gmres.method", "gmres.abs_tol"}
 
 
 def test_newton_iteration_cap_exits_nonconvergence(tmp_path):
@@ -48,6 +48,7 @@ def test_newton_iteration_cap_exits_nonconvergence(tmp_path):
         "no_such_key = 1",
         "gmres.preconditioner = \"ilu0\"",
         "gmres.method = \"monolithic\"",
+        "gmres.abs_tol = 0.0",
     ],
 )
 def test_unknown_config_key_exits_config_error(tmp_path, line):

@@ -10,12 +10,11 @@ from phasefrac.fem import (
     build_dof_map,
     condense_system,
     constraint_operator,
+    drop_columns,
     eliminated_dofs,
-    expand_update,
     hanging_interpolation,
-    reduce_residual,
 )
-from phasefrac.kernels import _DETA_TAB, _DXI_TAB, _QP
+from phasefrac.kernels import _DETA_TAB, _DXI_TAB, _QP, AssemblyPlan
 from phasefrac.mesh import ConstraintSet, build_rectangle_mesh, refine_cells
 from phasefrac.presets import build_problem
 
@@ -200,6 +199,42 @@ def test_constraint_arrays_bit_identical_on_sneddon_itl_mesh():
     assert array_digest(vec) == SNEDDON_ITL_DIGESTS["project"]
 
 
+def test_dropped_active_columns_equal_operator_built_per_mask():
+    # The solver builds P once from the Dirichlet mask and eliminates each
+    # active set by dropping its phase-field columns.  That operator and
+    # its condensed system must equal, array for array, the ones built
+    # with the active set folded into the fixed mask.
+    problem, _ = build_problem(RunConfig(benchmark="sneddon2d", local_refines=4))
+    mesh = problem.mesh
+    dm = build_dof_map(mesh)
+    n = dm.n_nodes
+    plan = AssemblyPlan(dm.cell_dofs, dm.n_dofs)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        fixed = rng.random(dm.n_dofs) < 0.1
+        P = constraint_operator(dm, mesh.hanging, fixed)
+        # the classifiable dofs (non-empty columns) are the phase-field
+        # dofs that are neither Dirichlet nor hanging
+        expect = ~fixed[2 * n:]
+        expect[mesh.hanging.nodes] = False
+        assert np.array_equal(~eliminated_dofs(P)[2 * n:], expect)
+        active = 2 * n + np.flatnonzero(rng.random(n) < 0.3)
+        Pa = drop_columns(P, active)
+        fixed_active = fixed.copy()
+        fixed_active[active] = True
+        ref = constraint_operator(dm, mesh.hanging, fixed_active)
+        for got, want in ((Pa.indptr, ref.indptr), (Pa.indices, ref.indices), (Pa.data, ref.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        matrix = plan.matrix_from_blocks(rng.standard_normal((len(mesh.cells), 144)))
+        rhs = rng.standard_normal(dm.n_dofs)
+        (got_m, got_r), (want_m, want_r) = (condense_system(matrix, rhs, op) for op in (Pa, ref))
+        for got, want in (
+            (got_m.indptr, want_m.indptr), (got_m.indices, want_m.indices),
+            (got_m.data, want_m.data), (got_r, want_r),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_constraint_operator_shapes_and_identity():
     mesh = build_rectangle_mesh((0.0, 0.0), (1.0, 1.0), (2, 2))
     dm = build_dof_map(mesh)
@@ -257,7 +292,7 @@ def test_condensed_update_zero_on_eliminated_dofs():
     P = constraint_operator(dm, mesh.hanging, fixed)
     Ac, rc = condense_system(A, r, P)
     x = np.linalg.solve(Ac.toarray(), rc)
-    dx = expand_update(x, P)
+    dx = P @ x
     assert np.allclose(dx[[0, 1, 5]], 0.0)
     # hanging dofs received the interpolated update
     cons = mesh.hanging
@@ -275,7 +310,7 @@ def test_reduced_residual_folds_hanging_rows():
     r = rng.standard_normal(dm.n_dofs)
     fixed = np.zeros(dm.n_dofs, dtype=bool)
     P = constraint_operator(dm, mesh.hanging, fixed)
-    red = reduce_residual(r, P)
+    red = P.T @ r
     cons = mesh.hanging
     nodes, masters, weights = cons.nodes, cons.masters, cons.weights
     hd = dm.phi_dof(nodes[0])

@@ -90,17 +90,6 @@ def test_extrapolation_rejects_coincident_times():
         extrapolate_phase(a, a, t_now=2.0, t_prev=1.0, t_prev2=1.0)
 
 
-def test_assembler_with_params_rebuilds():
-    mesh = build_rectangle_mesh((0.0, 0.0), (1.0, 1.0), (2, 2))
-    dofmap = build_dof_map(mesh)
-    asm = Assembler(mesh, dofmap, make_params(split="none"))
-    other = asm.with_params(split="spectral", pressure=0.5)
-    assert other.params.split == "spectral"
-    assert other.params.pressure == 0.5
-    assert asm.params.split == "none"  # original untouched
-    assert other.params.mu == asm.params.mu
-
-
 def test_split_code_mapping():
     assert make_params(split="none").split_code == 0
     assert make_params(split="spectral").split_code == 1

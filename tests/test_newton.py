@@ -6,9 +6,7 @@ import pytest
 from phasefrac.newton import (
     ActiveSetMask,
     SolverSettings,
-    adaptive_c,
     classify_active_set,
-    complementarity_residual,
     kkt_check,
     pdas_loop,
 )
@@ -18,51 +16,6 @@ from obstacle_util import obstacle_system, qp_enumerate, screened_laplacian
 
 
 GM = GmresSettings(rel_tol=1e-12)
-
-
-# ----------------------------------------------------------------------
-# scalar complementarity identity
-# ----------------------------------------------------------------------
-
-
-def test_complementarity_inactive_point():
-    assert complementarity_residual(0.0, -0.3, 1.0) == 0.0
-
-
-def test_complementarity_active_point():
-    assert complementarity_residual(2.0, 0.0, 5.0) == 0.0
-
-
-def test_complementarity_infeasible_multiplier():
-    assert complementarity_residual(-1.0, 0.0, 5.0) == -1.0
-
-
-def kkt_triple(lam, dphi):
-    return dphi <= 0.0 and lam >= 0.0 and lam * dphi == 0.0
-
-
-def test_complementarity_equals_kkt_on_grid():
-    # C(lam, dphi; c) = 0 exactly on KKT triples, nonzero elsewhere,
-    # for every positive c
-    lam_grid = np.linspace(-2.0, 2.0, 50)
-    lam_grid[25] = 0.0
-    dphi_grid = np.linspace(-2.0, 2.0, 50)
-    dphi_grid[25] = 0.0
-    c_grid = np.array([0.1, 0.5, 1.0, 10.0, 1e4])
-    failures = 0
-    for lam in lam_grid:
-        for dphi in dphi_grid:
-            for c in c_grid:
-                zero = complementarity_residual(lam, dphi, c) == 0.0
-                if zero != kkt_triple(lam, dphi):
-                    failures += 1
-    assert failures == 0
-
-
-def test_adaptive_c_formula_and_fallback():
-    assert adaptive_c(3.0, -1.5, 99.0) == pytest.approx(4.0)
-    assert adaptive_c(0.0, -1.5, 99.0) == 99.0  # zero multiplier
-    assert adaptive_c(3.0, 0.0, 99.0) == 99.0  # vanishing denominator
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +62,65 @@ def test_classification_case2_releases_feasible_positive_multiplier():
     # adaptive c = 2|lam/dphi| turns lam + c*dphi into -lam < 0
     mask = classify([2.0], [1.0], [0.0], [1.0], case=2, c=1.0)
     assert mask.flags.tolist() == [False]
+
+
+# The semismooth complementarity function the classification applies is
+# C(lam, dphi; c) = lam - max(0, lam + c dphi): lam on the inactive set and
+# -c dphi on the active set, zero exactly on the KKT triples.
+
+
+def complementarity_from_mask(lam, dphi, c, active):
+    return np.where(active, -c * dphi, lam)
+
+
+def test_complementarity_inactive_point():
+    # feasible, zero multiplier: inactive with C = lam = 0
+    mask = classify([0.0], [1.0], [-0.3], [0.0], case=1, c=1.0)
+    assert mask.flags.tolist() == [False]
+
+
+def test_complementarity_active_point():
+    # on the bound with a positive multiplier: active with C = -c dphi = 0
+    mask = classify([2.0], [1.0], [0.0], [0.0], case=1, c=5.0)
+    assert mask.flags.tolist() == [True]
+
+
+def test_complementarity_infeasible_multiplier():
+    # on the bound with a negative multiplier: released, C = lam = -1
+    mask = classify([-1.0], [1.0], [0.0], [0.0], case=1, c=5.0)
+    assert mask.flags.tolist() == [False]
+    assert complementarity_from_mask(-1.0, 0.0, 5.0, mask.flags)[0] == -1.0
+
+
+def kkt_triple(lam, dphi):
+    return (dphi <= 0.0) & (lam >= 0.0) & (lam * dphi == 0.0)
+
+
+def test_complementarity_equals_kkt_on_grid():
+    # with the mask classify_active_set returns, C(lam, dphi; c) = 0
+    # exactly on KKT triples and nonzero elsewhere, for every positive c
+    grid = np.linspace(-2.0, 2.0, 50)
+    grid[25] = 0.0
+    lam, dphi = (a.ravel() for a in np.meshgrid(grid, grid))
+    for c in (0.1, 0.5, 1.0, 10.0, 1e4):
+        mask = classify(lam, np.ones_like(lam), dphi, np.zeros_like(dphi), case=1, c=c)
+        zero = complementarity_from_mask(lam, dphi, c, mask.flags) == 0.0
+        assert np.array_equal(zero, kkt_triple(lam, dphi)), c
+
+
+def test_adaptive_c_formula_and_fallback():
+    # infeasible dof with lam = -3, dphi = 1.5: the adaptive c = 2|lam/dphi|
+    # = 4 gives -3 + 6 > 0 (active), where the constant c = 1 gives -1.5
+    assert classify([-3.0], [1.0], [1.5], [0.0], case=2, c=1.0).flags.tolist() == [True]
+    assert classify([-3.0], [1.0], [1.5], [0.0], case=1, c=1.0).flags.tolist() == [False]
+    # a multiplier at rounding level next to a large one falls back to the
+    # constant c: 1e-14 + 1 * 0.5 > 0 keeps the violated bound active,
+    # where 2|lam/dphi| = 4e-14 would leave it a tie, hence inactive
+    mask = classify([1.0, 1e-14], [1.0, 1.0], [-1.0, 0.5], [0.0, 0.0], case=2, c=1.0)
+    assert mask.flags.tolist() == [False, True]
+    # on the bound (dphi = 0) the formula is undefined; the criterion is lam
+    mask = classify([3.0, -3.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], case=2, c=99.0)
+    assert mask.flags.tolist() == [True, False]
 
 
 def test_active_set_mask_equality_and_size():
@@ -301,3 +313,22 @@ def test_krylov_fallback_is_counted():
     assert report.converged
     assert report.linear_fallbacks == report.iterations > 0
     assert np.allclose(state, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_two_period_active_set_cycle_stops_below_tolerance(case):
+    # One dof of a concave quadratic, R(x) = b - a x with a = -1: every
+    # Newton step jumps to the stationary point b/a = 1e-9 above the bound,
+    # where the dof classifies active; projected back onto the bound its
+    # multiplier b = -1e-9 releases it again.  Both masks have a reduced
+    # residual below tol_newton, so the solve stops after two periods.
+    system = obstacle_system(np.array([[-1.0]]), np.array([-1e-9]), np.zeros(1))
+    state = np.array([-1.0])
+    settings = SolverSettings(case=case, c_constant=1.0, tol_newton=1e-7)
+    report = pdas_loop(system, state, settings, GM)
+    assert report.converged
+    assert report.termination_reason == "active_set_cycle"
+    # masks inactive, active, inactive, active: the fourth pass stops
+    assert report.iterations == 3
+    assert report.active.tolist() == [True]
+    assert report.final_residual <= settings.tol_newton
