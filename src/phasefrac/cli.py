@@ -3,8 +3,11 @@
 `phasefrac run ...` marches one benchmark preset and, with ``--out``,
 writes qoi.csv, config.echo and optional VTK snapshots into the output
 directory.  Options come from a flat ``key = value`` file (``--config``)
-with command-line flags taking precedence.  Solver benchmarks live in
-``perfbench/``, outside the package.
+with command-line flags taking precedence.  The keys are the fields of
+:class:`~phasefrac.driver.RunConfig`; the linear-solve parameters are
+constants of :mod:`phasefrac.linsolve` and have no key.  Out-of-range
+values are rejected when the configuration is built.  Solver benchmarks
+live in ``perfbench/``, outside the package.
 
 Exit codes: 0 all increments converged, 2 configuration error,
 3 solver non-convergence.
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import io as pio
 from .driver import RunConfig, run_incremental_loop, solver_settings_for
-from .linsolve import GmresSettings
+from .newton import CASE_CHOICES
 from .presets import PRESET_NAMES, build_problem
 
 EXIT_OK = 0
@@ -32,7 +35,6 @@ log = logging.getLogger("phasefrac")
 
 # field name -> type, with the string annotations resolved
 _CONFIG_FIELDS = typing.get_type_hints(RunConfig)
-_GMRES_FIELDS = typing.get_type_hints(GmresSettings)
 
 # CLI flag -> RunConfig field (only where the names differ)
 _FLAG_ALIASES = {
@@ -75,23 +77,14 @@ def build_config(file_values: dict, cli_values: dict) -> RunConfig:
     are rejected by name.
     """
     merged: dict = {}
-    gmres_kwargs: dict = {}
     for key, val in file_values.items():
-        if key.startswith("gmres."):
-            sub = key[len("gmres."):]
-            if sub not in _GMRES_FIELDS:
-                raise ValueError(f"unknown config key {key!r}")
-            gmres_kwargs[sub] = _checked(key, val, _GMRES_FIELDS[sub])
-            continue
-        if key not in _CONFIG_FIELDS or key == "gmres":
+        if key not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         merged[key] = _checked(key, val, _CONFIG_FIELDS[key])
     for key, val in cli_values.items():
         if val is None:
             continue
         merged[key] = val
-    if gmres_kwargs:
-        merged["gmres"] = GmresSettings(**gmres_kwargs)
     try:
         return RunConfig(**merged)
     except TypeError as exc:
@@ -101,7 +94,7 @@ def build_config(file_values: dict, cli_values: dict) -> RunConfig:
 def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--benchmark", choices=PRESET_NAMES)
-    p.add_argument("--case", type=int, choices=(1, 2, 3, 4))
+    p.add_argument("--case", type=int, choices=CASE_CHOICES)
     p.add_argument("--itl", choices=("none", "ite", "itots"))
     p.add_argument("--global-refines", type=int, dest="global_refines")
     p.add_argument("--local-refines", type=int, dest="local_refines")
@@ -163,10 +156,7 @@ def run_command(args: argparse.Namespace) -> int:
             problem.mesh, notes,
         )
 
-    from .fem import build_dof_map
-
-    dofmap = build_dof_map(problem.mesh)
-    n = dofmap.n_nodes
+    n = problem.mesh.n_nodes
 
     def on_increment(step, state, inc):
         log.info(
@@ -176,15 +166,9 @@ def run_command(args: argparse.Namespace) -> int:
             "" if inc.converged else "  NOT CONVERGED",
         )
         if out_dir and config.vtk_every > 0 and step % config.vtk_every == 0:
-            rep = inc.report
-            lam = None
-            act = None
-            if rep.lambda_mult is not None:
-                lam = rep.lambda_mult
-            if rep.active is not None:
-                act = rep.active
             pio.write_vtk(
-                problem.mesh, state[: 2 * n], state[2 * n:], lam, act,
+                problem.mesh, state[: 2 * n], state[2 * n:],
+                inc.report.lambda_mult, inc.report.active,
                 os.path.join(out_dir, f"fields_{step}.vtk"),
             )
 

@@ -5,11 +5,18 @@ problem while updating the phase-field linearization from the most
 recent inner iterates until consecutive iterates agree (ItL), or just
 once when ItL is off.  The irreversibility bound for every solve of an
 increment is the converged phase field of the previous increment.
+
+The driver also wires the finite-element problem to the algebraic PDAS
+engine of :mod:`phasefrac.newton`: it builds the constraint operator P
+(hanging-node interpolation with the Dirichlet columns dropped) once per
+run, and for each linearization a :class:`~phasefrac.newton.BoundSystem`
+whose residual and Jacobian close over the frozen phase field.  ItL
+stops as not converged after ``MAX_ITL_ITERATIONS`` solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -21,7 +28,6 @@ from .fem import (
     constraint_operator,
     eliminated_dofs,
 )
-from .linsolve import GmresSettings
 from .material import (
     LINEARIZE_EXTRAPOLATE,
     LINEARIZE_PREVIOUS,
@@ -30,10 +36,19 @@ from .material import (
     extrapolate_phase,
 )
 from .mesh import ConstraintSet, Mesh
-from .newton import NewtonReport, SolverSettings, kkt_check, pdas_solve
+from .newton import (
+    CASE_CHOICES,
+    BoundSystem,
+    NewtonReport,
+    SolverSettings,
+    kkt_check,
+    pdas_solve,
+)
 from .qoi import QoiRecord, boundary_load, crack_energy, total_crack_volume
 
 ITL_MODES = ("none", "ite", "itots")
+# ItL solves per increment before it counts as not converged
+MAX_ITL_ITERATIONS = 200
 
 
 @dataclass
@@ -43,7 +58,6 @@ class RunConfig:
     itl_mode: str = "none"
     linearization: str = LINEARIZE_EXTRAPOLATE  # used when itl_mode == "none"
     tol_itl: float = 1.0e-1
-    max_itl_iterations: int = 200
     # None means "let the benchmark preset pick its default".
     k_n: Optional[float] = None
     n_increments: Optional[int] = None
@@ -53,7 +67,6 @@ class RunConfig:
     tol_newton: float = 1.0e-7
     case_c_constant: Optional[float] = None  # default 10 * E
     max_newton_iterations: int = 500
-    gmres: GmresSettings = field(default_factory=GmresSettings)
     out_dir: Optional[str] = None
     vtk_every: int = 0
     abort_on_nonconvergence: bool = False
@@ -75,8 +88,14 @@ class RunConfig:
                 raise ValueError(f"{key} must be >= 0")
         if self.split is not None and self.split not in ("none", "spectral"):
             raise ValueError("split must be 'none' or 'spectral'")
-        if self.case not in (1, 2, 3, 4):
-            raise ValueError("case must be 1, 2, 3, or 4")
+        if self.case not in CASE_CHOICES:
+            raise ValueError(f"case must be one of {CASE_CHOICES}")
+        if not self.tol_newton > 0.0:
+            raise ValueError("tol_newton must be positive")
+        if self.case_c_constant is not None and not self.case_c_constant > 0.0:
+            raise ValueError("case_c_constant must be positive")
+        if self.max_newton_iterations < 1:
+            raise ValueError("max_newton_iterations must be at least 1")
 
 
 @dataclass
@@ -128,11 +147,17 @@ def run_incremental_loop(
     assembler = Assembler(mesh, dofmap, problem.params)
     mass_diag = assemble_mass_diagonal(mesh, dofmap, constraints)
     n = dofmap.n_nodes
+    # hanging-node interpolation with the Dirichlet columns dropped, built
+    # once per run; every PDAS solve eliminates its active set from it
+    P = constraint_operator(dofmap, constraints, problem.fixed)
+    phi_dofs = 2 * n + np.arange(n)
     # the phase-field dofs the solver classifies: those with a non-empty
-    # column of the constraint operator (neither hanging nor Dirichlet)
-    classifiable = ~eliminated_dofs(
-        constraint_operator(dofmap, constraints, problem.fixed)
-    )[2 * n:]
+    # column of P (neither hanging nor Dirichlet)
+    classifiable = ~eliminated_dofs(P)[phi_dofs]
+
+    def project(vec: np.ndarray) -> None:
+        if len(constraints):
+            apply_hanging_to_vector(vec, dofmap, constraints)
 
     state = np.zeros(dofmap.n_dofs)
     state[2 * n:] = problem.initial_phi
@@ -177,10 +202,17 @@ def run_incremental_loop(
             else:
                 mode = "ext"
             phi_lin = linearize(mode)
-            report = pdas_solve(
-                state, assembler, dofmap, constraints, problem.fixed,
-                phi_old, phi_lin, mass_diag, settings, config.gmres,
+            system = BoundSystem(
+                phi_dofs=phi_dofs,
+                phi_upper=phi_old,
+                mass_diag=mass_diag,
+                P=P,
+                residual=lambda vec: assembler.residual(vec, phi_lin),
+                system=lambda vec: assembler.system(vec, phi_lin),
+                project=project,
+                block_split=2 * n,
             )
+            report = pdas_solve(system, state, settings)
             total_newton += report.iterations
             converged = converged and report.converged
             j += 1
@@ -193,7 +225,7 @@ def run_incremental_loop(
             # the second confirms it.  A warm state therefore reports j = 2.
             if diff < config.tol_itl and j >= 2:
                 break
-            if j >= config.max_itl_iterations:
+            if j >= MAX_ITL_ITERATIONS:
                 converged = False
                 break
 

@@ -18,7 +18,7 @@ side on eliminated dofs.  A residual is reduced by ``P^T @`` and a
 solved update expanded by ``P @``, so the update is identically zero on
 eliminated dofs and interpolated on hanging dofs.  The Newton solver
 builds P once per linearization and eliminates an active set by
-dropping its columns (see ``newton.pdas_loop``).
+dropping its columns (see ``newton.pdas_solve``).
 """
 
 from __future__ import annotations

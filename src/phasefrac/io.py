@@ -2,6 +2,11 @@
 
 Everything here is deterministic: identical inputs produce identical
 bytes, floats are written in shortest round-trip form via repr().
+
+:func:`read_csv` and :func:`read_vtk` are strict readers of the two
+formats this module writes.  No run reads its output back; they stay
+next to the writers because the round-trip tests check every written
+file through them, so a format change must change both sides here.
 """
 
 from __future__ import annotations
@@ -187,10 +192,6 @@ def config_echo_lines(config, params: Optional[MaterialParams] = None,
     lines = []
     for f in dc_fields(config):
         val = getattr(config, f.name)
-        if f.name == "gmres":
-            for g in dc_fields(val):
-                lines.append(f"gmres.{g.name} = {_fmt(getattr(val, g.name))}")
-            continue
         lines.append(f"{f.name} = {_fmt(val) if val is not None else 'none'}")
     if params is not None:
         for f in dc_fields(params):

@@ -3,12 +3,14 @@
 Modified Gram-Schmidt Arnoldi with Givens rotations; the least-squares
 residual is updated rotation by rotation, so convergence is detected
 without extra matvecs.  Right preconditioning keeps the monitored
-residual equal to the true unpreconditioned residual.
+residual equal to the true unpreconditioned residual.  The relative
+tolerance, restart length and iteration cap are the module constants
+``REL_TOL``, ``RESTART`` and ``MAX_ITERS``; no run sets them.
 
 The Newton solver slices the condensed system into its two diagonal
 blocks and the coupling block and hands each stage of
 :func:`solve_block_triangular` a sparse LU factorization of that stage's
-diagonal block as its preconditioner (see ``newton.pdas_loop``); with
+diagonal block as its preconditioner (see ``newton.pdas_solve``); with
 the exact phase-field factor the second stage converges in one or two
 iterations.  GMRES stays around the LU because its absolute stopping
 target fixes how exactly each Newton direction is solved, and the
@@ -27,14 +29,11 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-
-@dataclass
-class GmresSettings:
-    rel_tol: float = 1.0e-8
-    restart: int = 100
-    # beyond a few restart cycles the Krylov solve is stalling, and the
-    # caller's direct fallback is cheaper than more cycles
-    max_iters: int = 400
+REL_TOL = 1.0e-8
+RESTART = 100
+# beyond a few restart cycles the Krylov solve is stalling, and the
+# caller's direct fallback is cheaper than more cycles
+MAX_ITERS = 400
 
 
 @dataclass
@@ -48,17 +47,15 @@ class GmresResult:
 def gmres(
     matrix: sp.csr_matrix,
     rhs: np.ndarray,
-    settings: Optional[GmresSettings] = None,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tol: Optional[float] = None,
 ) -> GmresResult:
     """Solve matrix @ x = rhs from a zero start until the 2-norm residual
-    is at most ``tol`` (default ``settings.rel_tol * |rhs|``).
+    is at most ``tol`` (default ``REL_TOL * |rhs|``).
 
     ``precond`` applies M^{-1} (right preconditioning); without one the
     iteration is unpreconditioned.
     """
-    settings = settings or GmresSettings()
     n = len(rhs)
     x = np.zeros(n)
     if precond is None:
@@ -66,7 +63,7 @@ def gmres(
 
     norm_b = np.linalg.norm(rhs)
     if tol is None:
-        tol = settings.rel_tol * norm_b
+        tol = REL_TOL * norm_b
     total = 0
 
     r = rhs - matrix @ x
@@ -74,8 +71,8 @@ def gmres(
     if beta <= tol or norm_b == 0.0:
         return GmresResult(x, True, 0)
 
-    m = settings.restart
-    while total < settings.max_iters:
+    m = RESTART
+    while total < MAX_ITERS:
         V = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
@@ -86,7 +83,7 @@ def gmres(
 
         k_used = 0
         for k in range(m):
-            if total >= settings.max_iters:
+            if total >= MAX_ITERS:
                 break
             w = matrix @ precond(V[k])
             for i in range(k + 1):
@@ -141,7 +138,6 @@ def solve_block_triangular(
     coupling: sp.csr_matrix,
     trail: sp.csr_matrix,
     rhs: np.ndarray,
-    settings: Optional[GmresSettings] = None,
     stage_preconds: tuple = (None, None),
 ) -> GmresResult:
     """Two-stage solve of a block lower-triangular system.
@@ -154,16 +150,15 @@ def solve_block_triangular(
     each other.  An empty (0 x 0) leading block makes the whole system
     one stage.
     """
-    settings = settings or GmresSettings()
     split = lead.shape[0]
     # One absolute target from the full right-hand side, so a stage whose
     # own rhs is already below it returns immediately instead of chasing
     # a relative tolerance on a negligible block.  The stages contribute
     # orthogonal residual blocks, hence the 1/sqrt(2) to keep the combined
     # residual within the requested tolerance.
-    tol = settings.rel_tol * float(np.linalg.norm(rhs)) / np.sqrt(2.0)
-    first = gmres(lead, rhs[:split], settings, stage_preconds[0], tol)
-    second = gmres(trail, rhs[split:] - coupling @ first.x, settings, stage_preconds[1], tol)
+    tol = REL_TOL * float(np.linalg.norm(rhs)) / np.sqrt(2.0)
+    first = gmres(lead, rhs[:split], stage_preconds[0], tol)
+    second = gmres(trail, rhs[split:] - coupling @ first.x, stage_preconds[1], tol)
     return GmresResult(
         np.concatenate([first.x, second.x]),
         first.converged and second.converged,

@@ -311,12 +311,6 @@ def refine_cells(mesh: Mesh, marks: np.ndarray) -> Mesh:
     return _finalize(lat)
 
 
-def compute_hanging_constraints(mesh: Mesh) -> ConstraintSet:
-    """Recompute the hanging-node constraints of a mesh."""
-    lat = mesh._lattice
-    return _hanging_constraints(lat["ix"], lat["iy"], lat["s"], lat["node_keys"], mesh.cells)
-
-
 # ----------------------------------------------------------------------
 # Integer-lattice internals
 # ----------------------------------------------------------------------

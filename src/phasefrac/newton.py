@@ -17,10 +17,13 @@ cycled with period two for two periods (A, B, A, B): grazing dofs whose
 multiplier and bound gap both sit at rounding level can toggle forever
 without changing the solution.
 
-The engine is generic over a :class:`BoundSystem`, which carries one
-static constraint operator P.  The engine eliminates an active set by
-dropping its phase-field columns from P and condensing with the result,
-so the FEM problem and the small test problems share one elimination.
+The engine is algebraic: it sees a :class:`BoundSystem` (residual and
+Jacobian callbacks, the bound, a mass diagonal and one static constraint
+operator P) and knows nothing of the mesh.  It eliminates an active set
+by dropping its phase-field columns from P and condensing with the
+result, so the FEM problem and the small test problems share one
+elimination.  The FEM wiring lives in :mod:`phasefrac.driver`, which
+builds P once per run and one :class:`BoundSystem` per linearization.
 """
 
 from __future__ import annotations
@@ -33,18 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as sps
 
-from .fem import (
-    DofMap,
-    apply_hanging_to_vector,
-    condense_system,
-    constraint_operator,
-    drop_columns,
-    eliminated_dofs,
-)
-
-from .linsolve import GmresResult, GmresSettings, solve_block_triangular
-from .material import Assembler
-from .mesh import ConstraintSet
+from .fem import condense_system, drop_columns, eliminated_dofs
+from .linsolve import GmresResult, solve_block_triangular
 
 CASE_CHOICES = (1, 2, 3, 4)
 
@@ -199,13 +192,12 @@ class BoundSystem:
     block_split: int = 0  # leading-block size of the two-stage solve
 
 
-def pdas_loop(
+def pdas_solve(
     system: BoundSystem,
     state: np.ndarray,
     settings: SolverSettings,
-    gmres_settings: Optional[GmresSettings] = None,
 ) -> NewtonReport:
-    """Run the PDAS Newton iteration in place on ``state``.
+    """PDAS Newton solve of ``system``, in place on ``state``.
 
     One iteration = one reduced linear solve.  Stopping is evaluated at
     the top of each pass on the freshly classified, projected state.
@@ -226,7 +218,6 @@ def pdas_loop(
     every direction meets the same residual target; see
     :mod:`phasefrac.linsolve` for why a plain direct solve is not used.
     """
-    gmres_settings = gmres_settings or GmresSettings()
     report = NewtonReport()
     pdofs = system.phi_dofs
     upper = system.phi_upper
@@ -306,7 +297,7 @@ def pdas_loop(
         # the trailing factor lives only for this solve, so two of them
         # never coexist in memory
         sol = solve_block_triangular(
-            lead, coupling, trail, rhs_red, gmres_settings,
+            lead, coupling, trail, rhs_red,
             stage_preconds=(lead_precond, sps.splu(trail.tocsc()).solve),
         )
         stage_iters = sol.stage_iters
@@ -348,64 +339,3 @@ def pdas_loop(
     report.active = act.copy()
     report.case3_first_hit = case3_hit
     return report
-
-
-# ----------------------------------------------------------------------
-# FEM adapter
-# ----------------------------------------------------------------------
-
-
-def fem_bound_system(
-    assembler: Assembler,
-    dofmap: DofMap,
-    constraints: ConstraintSet,
-    fixed: np.ndarray,
-    phi_old: np.ndarray,
-    phi_lin: np.ndarray,
-    mass_diag: np.ndarray,
-) -> BoundSystem:
-    """Wrap the assembled phase-field problem for the PDAS engine.
-
-    ``fixed`` is the boolean Dirichlet mask over all dofs (values
-    already written into the state; updates vanish there).  The
-    constraint operator is built here, once per linearization.
-    """
-    n_nodes = dofmap.n_nodes
-
-    def _project(state):
-        if len(constraints):
-            apply_hanging_to_vector(state, dofmap, constraints)
-
-    return BoundSystem(
-        phi_dofs=2 * n_nodes + np.arange(n_nodes),
-        phi_upper=phi_old.astype(float).copy(),
-        mass_diag=mass_diag,
-        P=constraint_operator(dofmap, constraints, fixed),
-        residual=lambda state: assembler.residual(state, phi_lin),
-        system=lambda state: assembler.system(state, phi_lin),
-        project=_project,
-        block_split=2 * n_nodes,
-    )
-
-
-def pdas_solve(
-    state: np.ndarray,
-    assembler: Assembler,
-    dofmap: DofMap,
-    constraints: ConstraintSet,
-    fixed: np.ndarray,
-    phi_old: np.ndarray,
-    phi_lin: np.ndarray,
-    mass_diag: np.ndarray,
-    settings: SolverSettings,
-    gmres_settings: Optional[GmresSettings] = None,
-) -> NewtonReport:
-    """PDAS Newton solve of one linearized increment, in place.
-
-    ``phi_lin`` stays frozen for the whole call; the irreversibility
-    bound is ``phi_old``.
-    """
-    system = fem_bound_system(
-        assembler, dofmap, constraints, fixed, phi_old, phi_lin, mass_diag
-    )
-    return pdas_loop(system, state, settings, gmres_settings)

@@ -25,8 +25,8 @@ def test_coarse_run_exits_zero_and_writes_qoi_csv(tmp_path):
     assert all(row["newton_iters"] >= 1 for row in rows)
     echo = (out / "config.echo").read_text().splitlines()
     keys = {line.split(" = ")[0] for line in echo if " = " in line}
-    assert {"gmres.rel_tol", "gmres.max_iters"} <= keys
-    assert not keys & {"gmres.preconditioner", "gmres.method", "gmres.abs_tol"}
+    assert {"tol_newton", "max_newton_iterations"} <= keys
+    assert not any(key.startswith("gmres.") for key in keys)
 
 
 def test_newton_iteration_cap_exits_nonconvergence(tmp_path):
@@ -49,11 +49,32 @@ def test_newton_iteration_cap_exits_nonconvergence(tmp_path):
         "gmres.preconditioner = \"ilu0\"",
         "gmres.method = \"monolithic\"",
         "gmres.abs_tol = 0.0",
+        "gmres.rel_tol = 1e-10",
+        "gmres.restart = 50",
+        "gmres.max_iters = 100",
+        "max_itl_iterations = 10",
     ],
 )
 def test_unknown_config_key_exits_config_error(tmp_path, line):
     cfg = write_config(tmp_path, line + "\n")
     assert cli.main(["run", "--config", cfg, *COARSE_LPANEL]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "case_c_constant = -1.0",
+        "case_c_constant = 0.0",
+        "tol_newton = -1.0",
+        "tol_newton = 0.0",
+        "max_newton_iterations = 0",
+        "case = 5",
+    ],
+)
+def test_invalid_solver_value_exits_config_error(tmp_path, caplog, line):
+    cfg = write_config(tmp_path, line + "\n")
+    assert cli.main(["run", "--config", cfg, *COARSE_LPANEL]) == cli.EXIT_CONFIG
+    assert line.split(" = ")[0] in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -65,7 +86,7 @@ def test_removed_subcommand_and_flag_exit_config_error(argv):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("tol_newton", "abc"), ("n_increments", "2.5"), ("gmres.rel_tol", "abc")],
+    [("tol_newton", "abc"), ("n_increments", "2.5")],
 )
 def test_config_value_of_wrong_type_exits_config_error(tmp_path, caplog, key, value):
     cfg = write_config(tmp_path, f"{key} = {value}\n")
@@ -74,9 +95,9 @@ def test_config_value_of_wrong_type_exits_config_error(tmp_path, caplog, key, va
 
 
 def test_config_int_widens_to_float_field():
-    config = cli.build_config({"tol_newton": 1, "gmres.rel_tol": 0}, {})
+    config = cli.build_config({"tol_newton": 1, "case_c_constant": 20}, {})
     assert type(config.tol_newton) is float and config.tol_newton == 1.0
-    assert type(config.gmres.rel_tol) is float
+    assert type(config.case_c_constant) is float and config.case_c_constant == 20.0
     with pytest.raises(ValueError, match="'n_increments'"):
         cli.build_config({"n_increments": True}, {})
 

@@ -14,6 +14,8 @@ from phasefrac.fem import build_dof_map
 from phasefrac.material import Assembler, MaterialParams, degradation
 from phasefrac.mesh import build_rectangle_mesh
 
+from reference_util import split_stress, split_tangent
+
 
 # ----------------------------------------------------------------------
 # independent oracles
@@ -35,7 +37,7 @@ def eigh_split(e: np.ndarray, mu: float, lam: float):
 
 def split_voigt(e11, e22, e12, mu, lam, split):
     """Kernel split evaluated scalar-wise, returned as 2x2 tensors."""
-    sp11, sp22, sp12, sm11, sm22, sm12, psi = kernels._split_stress(
+    sp11, sp22, sp12, sm11, sm22, sm12, psi = split_stress(
         e11, e22, e12, mu, lam, split
     )
     plus = np.array([[sp11, sp12], [sp12, sp22]])
@@ -229,7 +231,7 @@ def test_tangent_is_fd_derivative_of_split_stress():
     for _ in range(50):
         e11, e22, e12 = rng.standard_normal(3)
         D = np.zeros((3, 3))
-        kernels._split_tangent(e11, e22, e12, mu, lam, gdeg, kernels.SPLIT_SPECTRAL, D)
+        split_tangent(e11, e22, e12, mu, lam, gdeg, kernels.SPLIT_SPECTRAL, D)
 
         def stress(v):
             # v is the strain triple (e11, e22, 2 e12)
@@ -251,7 +253,7 @@ def test_tangent_is_fd_derivative_of_split_stress():
 
 def test_tangent_none_is_degraded_hooke():
     D = np.zeros((3, 3))
-    kernels._split_tangent(0.1, -0.2, 0.05, 0.42, 0.28, 0.5, kernels.SPLIT_NONE, D)
+    split_tangent(0.1, -0.2, 0.05, 0.42, 0.28, 0.5, kernels.SPLIT_NONE, D)
     hooke = np.array(
         [[0.28 + 0.84, 0.28, 0.0], [0.28, 0.28 + 0.84, 0.0], [0.0, 0.0, 0.42]]
     )
@@ -269,13 +271,13 @@ def test_numpy_split_twins_agree_with_scalar_path():
     )
     for i in range(5):
         for q in range(4):
-            ref = kernels._split_stress(
+            ref = split_stress(
                 e11[i, q], e22[i, q], e12[i, q], 0.42, 0.28, kernels.SPLIT_SPECTRAL
             )
             for comp, refc in zip(vec, ref):
                 assert abs(comp[i, q] - refc) < 1e-13
             D = np.zeros((3, 3))
-            kernels._split_tangent(
+            split_tangent(
                 e11[i, q], e22[i, q], e12[i, q], 0.42, 0.28, 0.37,
                 kernels.SPLIT_SPECTRAL, D,
             )

@@ -5,18 +5,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as sps
 
+from phasefrac import linsolve
 from phasefrac.driver import RunConfig, run_incremental_loop, solver_settings_for
 from phasefrac.fem import (
-    assemble_mass_diagonal,
     build_dof_map,
     condense_system,
     constraint_operator,
     drop_columns,
 )
-from phasefrac.linsolve import GmresSettings, gmres, solve_block_triangular
+from phasefrac.linsolve import gmres, solve_block_triangular
 from phasefrac.material import Assembler, MaterialParams
 from phasefrac.mesh import build_rectangle_mesh
-from phasefrac.newton import fem_bound_system
 from phasefrac.presets import build_problem
 
 
@@ -28,7 +27,7 @@ def well_conditioned(rng, n):
 def test_identity_converges_immediately():
     mat = sp.eye(8, format="csr")
     b = np.arange(8.0)
-    res = gmres(mat, b, GmresSettings())
+    res = gmres(mat, b)
     assert res.converged
     assert res.n_iters <= 1
     assert np.allclose(res.x, b)
@@ -50,25 +49,27 @@ def test_diagonal_system_exact():
     assert np.allclose(res.x, 1.0 / d, atol=1e-12)
 
 
-def test_gmres_matches_dense_lu_on_random_systems():
+def test_gmres_matches_dense_lu_on_random_systems(monkeypatch):
     rng = np.random.default_rng(31)
-    settings = GmresSettings(rel_tol=1e-12, restart=60)
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-12)
+    monkeypatch.setattr(linsolve, "RESTART", 60)
     for _ in range(30):
         n = rng.integers(5, 50)
         mat = well_conditioned(rng, int(n))
         b = rng.standard_normal(int(n))
         ref = np.linalg.solve(mat.toarray(), b)
-        res = gmres(mat, b, settings)
+        res = gmres(mat, b)
         assert res.converged
         assert np.linalg.norm(res.x - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
-def test_final_residual_meets_requested_tolerance():
+def test_final_residual_meets_requested_tolerance(monkeypatch):
     rng = np.random.default_rng(33)
     mat = well_conditioned(rng, 30)
     b = rng.standard_normal(30)
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-9)
     for precond in (None, sps.splu(mat.tocsc()).solve):
-        res = gmres(mat, b, GmresSettings(rel_tol=1e-9), precond=precond)
+        res = gmres(mat, b, precond=precond)
         assert res.converged
         r = np.linalg.norm(b - mat @ res.x)
         assert r <= 1e-9 * np.linalg.norm(b) * (1.0 + 1e-6)
@@ -93,31 +94,33 @@ def sneddon_phi_block():
     return matrix.tocsr()[2 * n:, 2 * n:], rhs[2 * n:]
 
 
-def test_preconditioning_reduces_iterations_on_phi_block():
+def test_preconditioning_reduces_iterations_on_phi_block(monkeypatch):
     block, rhs = sneddon_phi_block()
-    settings = GmresSettings(rel_tol=1e-10)
-    plain = gmres(block, rhs, settings)
-    lu = gmres(block, rhs, settings, precond=sps.splu(block.tocsc()).solve)
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-10)
+    plain = gmres(block, rhs)
+    lu = gmres(block, rhs, precond=sps.splu(block.tocsc()).solve)
     assert plain.converged and lu.converged
     assert lu.n_iters <= 2 < plain.n_iters
 
 
-def test_preconditioned_and_plain_solutions_agree():
+def test_preconditioned_and_plain_solutions_agree(monkeypatch):
     block, rhs = sneddon_phi_block()
-    settings = GmresSettings(rel_tol=1e-12)
-    ref = gmres(block, rhs, settings)
-    res = gmres(block, rhs, settings, precond=sps.splu(block.tocsc()).solve)
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-12)
+    ref = gmres(block, rhs)
+    res = gmres(block, rhs, precond=sps.splu(block.tocsc()).solve)
     assert np.linalg.norm(res.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
 
 
-def test_max_iterations_reported_as_failure():
+def test_max_iterations_reported_as_failure(monkeypatch):
     rng = np.random.default_rng(35)
     n = 60
     # shifted skew matrix needs many iterations; cap far below that
     a = rng.standard_normal((n, n))
     mat = sp.csr_matrix(a @ a.T + 0.01 * np.eye(n))
     b = rng.standard_normal(n)
-    res = gmres(mat, b, GmresSettings(max_iters=3, restart=3))
+    monkeypatch.setattr(linsolve, "MAX_ITERS", 3)
+    monkeypatch.setattr(linsolve, "RESTART", 3)
+    res = gmres(mat, b)
     assert not res.converged
     assert res.n_iters == 3
 
@@ -144,16 +147,15 @@ def blocks(mat, split):
     return csr[:split, :split], csr[split:, :split], csr[split:, split:]
 
 
-def test_block_triangular_matches_dense_lu():
+def test_block_triangular_matches_dense_lu(monkeypatch):
     rng = np.random.default_rng(37)
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-12)
     for _ in range(10):
         n1, n2 = int(rng.integers(4, 20)), int(rng.integers(4, 20))
         mat = random_block_triangular(rng, n1, n2)
         rhs = rng.standard_normal(n1 + n2)
         ref = np.linalg.solve(mat.toarray(), rhs)
-        res = solve_block_triangular(
-            *blocks(mat, n1), rhs, GmresSettings(rel_tol=1e-12)
-        )
+        res = solve_block_triangular(*blocks(mat, n1), rhs)
         assert res.converged
         assert np.linalg.norm(res.x - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
@@ -165,7 +167,7 @@ def lu_stages(mat, split):
     return sps.splu(lead.tocsc()).solve, sps.splu(trail.tocsc()).solve
 
 
-def test_block_triangular_matches_monolithic_on_assembled_system():
+def test_block_triangular_matches_monolithic_on_assembled_system(monkeypatch):
     # condensed phase-field Newton matrix is block lower-triangular in the
     # (u, phi) ordering; the two LU-preconditioned stages must agree with
     # one direct solve of the whole system
@@ -190,9 +192,10 @@ def test_block_triangular_matches_monolithic_on_assembled_system():
     mat_red, rhs_red = condense_system(matrix, rhs, op)
 
     tol = 1e-10
+    monkeypatch.setattr(linsolve, "REL_TOL", tol)
     mono = sps.spsolve(mat_red.tocsc(), rhs_red)
     two = solve_block_triangular(
-        *blocks(mat_red, 2 * n), rhs_red, GmresSettings(rel_tol=tol),
+        *blocks(mat_red, 2 * n), rhs_red,
         stage_preconds=lu_stages(mat_red, 2 * n),
     )
     assert two.converged
@@ -200,17 +203,16 @@ def test_block_triangular_matches_monolithic_on_assembled_system():
     assert np.linalg.norm(two.x - mono) <= 1e-8 * np.linalg.norm(mono)
 
 
-def test_block_triangular_skips_negligible_stage():
+def test_block_triangular_skips_negligible_stage(monkeypatch):
     rng = np.random.default_rng(39)
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-10)
     mat = random_block_triangular(rng, 10, 10)
     # zero the coupling block so the trailing rhs stays exactly zero
     dense = mat.toarray()
     dense[10:, :10] = 0.0
     mat = sp.csr_matrix(dense)
     rhs = np.concatenate([rng.standard_normal(10), np.zeros(10)])
-    res = solve_block_triangular(
-        *blocks(mat, 10), rhs, GmresSettings(rel_tol=1e-10)
-    )
+    res = solve_block_triangular(*blocks(mat, 10), rhs)
     assert res.converged
     assert np.all(res.x[10:] == 0.0)
 
@@ -224,15 +226,12 @@ def condensed_preset_system(config):
     mesh, state = problem.mesh, result.state
     dofmap = build_dof_map(mesh)
     n = dofmap.n_nodes
-    phi = state[2 * n:]
-    system = fem_bound_system(
-        Assembler(mesh, dofmap, problem.params), dofmap, problem.constraints,
-        problem.fixed, phi, phi, assemble_mass_diagonal(mesh, dofmap, problem.constraints),
-    )
+    P = constraint_operator(dofmap, problem.constraints, problem.fixed)
     act = result.increments[-1].report.active
-    Pa = drop_columns(system.P, system.phi_dofs[act])
-    mat_red, rhs_red = condense_system(*system.system(state), Pa)
-    return mat_red, rhs_red, system.block_split
+    Pa = drop_columns(P, 2 * n + np.flatnonzero(act))
+    matrix, rhs = Assembler(mesh, dofmap, problem.params).system(state, state[2 * n:])
+    mat_red, rhs_red = condense_system(matrix, rhs, Pa)
+    return mat_red, rhs_red, 2 * n
 
 
 @pytest.mark.parametrize(
@@ -253,7 +252,7 @@ def test_lu_preconditioned_stages_match_spsolve_on_presets(config, u_tol):
     rhs = rhs_red + rng.standard_normal(len(rhs_red)) * np.linalg.norm(rhs_red)
     ref = sps.spsolve(mat_red.tocsc(), rhs)
     res = solve_block_triangular(
-        *blocks(mat_red, split), rhs, GmresSettings(),
+        *blocks(mat_red, split), rhs,
         stage_preconds=lu_stages(mat_red, split),
     )
     assert res.converged

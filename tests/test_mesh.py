@@ -6,7 +6,6 @@ from phasefrac.mesh import (
     ConstraintSet,
     build_lshape_mesh,
     build_rectangle_mesh,
-    compute_hanging_constraints,
     mark_lshape_boundaries,
     refine_cells,
     refine_global,
@@ -14,6 +13,7 @@ from phasefrac.mesh import (
 from phasefrac.presets import build_problem
 
 from digest_util import mesh_digest
+from reference_util import compute_hanging_constraints
 
 
 def domain_area(mesh):

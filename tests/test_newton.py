@@ -8,14 +8,17 @@ from phasefrac.newton import (
     SolverSettings,
     classify_active_set,
     kkt_check,
-    pdas_loop,
+    pdas_solve,
 )
-from phasefrac.linsolve import GmresSettings
+from phasefrac import linsolve
 
 from obstacle_util import obstacle_system, qp_enumerate, screened_laplacian
 
 
-GM = GmresSettings(rel_tol=1e-12)
+@pytest.fixture(autouse=True)
+def tight_gmres(monkeypatch):
+    """Solve the toy Newton systems to 1e-12 relative."""
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -180,11 +183,11 @@ def test_kkt_check_flags_violations():
 # ----------------------------------------------------------------------
 
 
-def run_case(A, b, ub, case, x0=None, gmres=GM, **kw):
+def run_case(A, b, ub, case, x0=None, **kw):
     system = obstacle_system(A, b, ub)
     state = np.zeros(len(b)) if x0 is None else x0.copy()
     settings = SolverSettings(case=case, c_constant=1.0, tol_newton=1e-12, **kw)
-    report = pdas_loop(system, state, settings, gmres)
+    report = pdas_solve(system, state, settings)
     return state, report
 
 
@@ -271,7 +274,7 @@ def test_warm_entry_converges_in_zero_iterations():
     assert first.converged
     system = obstacle_system(A, b, ub)
     settings = SolverSettings(case=2, c_constant=1.0, tol_newton=1e-12)
-    again = pdas_loop(system, state, settings, GM)
+    again = pdas_solve(system, state, settings)
     assert again.converged
     assert again.iterations == 0
 
@@ -284,7 +287,7 @@ def test_nonconvergence_reported_not_raised():
     state = np.zeros(8)
     settings = SolverSettings(case=1, c_constant=1.0, tol_newton=1e-14,
                               max_iterations=0)
-    report = pdas_loop(system, state, settings, GM)
+    report = pdas_solve(system, state, settings)
     assert not report.converged
     assert report.termination_reason == "max_iterations"
 
@@ -303,13 +306,15 @@ def test_residual_history_matches_iterations():
     assert report.linear_fallbacks == 0
 
 
-def test_krylov_fallback_is_counted():
+def test_krylov_fallback_is_counted(monkeypatch):
     rng = np.random.default_rng(49)
     A = screened_laplacian(7)
     b = rng.standard_normal(7)
     ref, _ = run_case(A, b, np.zeros(7), case=1)
     # no Krylov iteration allowed: every step falls back to spsolve
-    state, report = run_case(A, b, np.zeros(7), case=1, gmres=GmresSettings(max_iters=0))
+    monkeypatch.setattr(linsolve, "REL_TOL", 1e-8)
+    monkeypatch.setattr(linsolve, "MAX_ITERS", 0)
+    state, report = run_case(A, b, np.zeros(7), case=1)
     assert report.converged
     assert report.linear_fallbacks == report.iterations > 0
     assert np.allclose(state, ref, atol=1e-10)
@@ -325,7 +330,7 @@ def test_two_period_active_set_cycle_stops_below_tolerance(case):
     system = obstacle_system(np.array([[-1.0]]), np.array([-1e-9]), np.zeros(1))
     state = np.array([-1.0])
     settings = SolverSettings(case=case, c_constant=1.0, tol_newton=1e-7)
-    report = pdas_loop(system, state, settings, GM)
+    report = pdas_solve(system, state, settings)
     assert report.converged
     assert report.termination_reason == "active_set_cycle"
     # masks inactive, active, inactive, active: the fourth pass stops
