@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError("case_c_constant must be positive")
         if self.max_newton_iterations < 1:
             raise ValueError("max_newton_iterations must be at least 1")
+        if self.vtk_every < 0:
+            raise ValueError("vtk_every must be >= 0")
 
 
 @dataclass

@@ -10,15 +10,19 @@ tolerance, restart length and iteration cap are the module constants
 The Newton solver slices the condensed system into its two diagonal
 blocks and the coupling block and hands each stage of
 :func:`solve_block_triangular` a sparse LU factorization of that stage's
-diagonal block as its preconditioner (see ``newton.pdas_solve``); with
+diagonal block as its preconditioner (see ``newton.factor_block``); with
 the exact phase-field factor the second stage converges in one or two
-iterations.  GMRES stays around the LU because its absolute stopping
-target fixes how exactly each Newton direction is solved, and the
-spectral-split Newton counts of the SENS benchmark are chaotic in that
-accuracy.  On its ten-increment run, solving both stages directly takes
-the fifth increment from 4 Newton steps to 8; solving only the
-phase-field stage directly raises one perturbed load step size from 77
-steps in total to 85, 17 of them in one increment.
+iterations.  Both blocks are symmetric positive definite, so SuperLU
+factors them in symmetric mode, with a minimum-degree ordering of
+A^T + A and no pivoting (LU without pivoting is backward stable on SPD
+matrices), which halves nnz(L+U) against the COLAMD default.  GMRES
+stays around the LU because its absolute stopping target fixes how
+exactly each Newton direction is solved, and the spectral-split Newton
+counts of the SENS benchmark are chaotic in that accuracy.  On its
+ten-increment run, solving both stages directly takes the fifth
+increment from 4 Newton steps to 8; solving only the phase-field stage
+directly raises one perturbed load step size from 77 steps in total to
+85, 17 of them in one increment.
 """
 
 from __future__ import annotations

@@ -69,6 +69,7 @@ def test_unknown_config_key_exits_config_error(tmp_path, line):
         "tol_newton = 0.0",
         "max_newton_iterations = 0",
         "case = 5",
+        "vtk_every = -3",
     ],
 )
 def test_invalid_solver_value_exits_config_error(tmp_path, caplog, line):

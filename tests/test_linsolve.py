@@ -16,6 +16,7 @@ from phasefrac.fem import (
 from phasefrac.linsolve import gmres, solve_block_triangular
 from phasefrac.material import Assembler, MaterialParams
 from phasefrac.mesh import build_rectangle_mesh
+from phasefrac.newton import factor_block
 from phasefrac.presets import build_problem
 
 
@@ -164,7 +165,7 @@ def lu_stages(mat, split):
     """The stage preconditioners the Newton solver builds: sparse LU
     factors of the two diagonal blocks."""
     lead, _, trail = blocks(mat, split)
-    return sps.splu(lead.tocsc()).solve, sps.splu(trail.tocsc()).solve
+    return factor_block(lead).solve, factor_block(trail).solve
 
 
 def test_block_triangular_matches_monolithic_on_assembled_system(monkeypatch):

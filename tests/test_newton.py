@@ -301,6 +301,7 @@ def test_residual_history_matches_iterations():
     assert len(report.active_set_sizes) == report.iterations
     assert len(report.gmres_iterations) == report.iterations
     assert len(report.stage_iterations) == report.iterations
+    assert len(report.factor_fill) == report.iterations
     # no leading block: the whole system is the LU-preconditioned stage
     assert all(lead == 0 and trail <= 2 for lead, trail in report.stage_iterations)
     assert report.linear_fallbacks == 0
