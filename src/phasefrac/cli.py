@@ -117,14 +117,11 @@ def run_command(args: argparse.Namespace) -> int:
             log.error("config file: %s", exc)
             return EXIT_CONFIG
 
-    cli_values = {}
-    for flag in (
-        "benchmark", "case", "itl", "global_refines", "local_refines",
-        "tol_newton", "tol_itl", "increments", "out", "split",
-        "k_n", "vtk_every", "linearization",
-    ):
-        value = getattr(args, flag)
-        cli_values[_FLAG_ALIASES.get(flag, flag)] = value
+    cli_values = {
+        _FLAG_ALIASES.get(dest, dest): value
+        for dest, value in vars(args).items()
+        if dest not in ("config", "command", "func")
+    }
 
     try:
         config = build_config(file_values, cli_values)

@@ -210,7 +210,7 @@ def run_incremental_loop(
                 mass_diag=mass_diag,
                 P=P,
                 residual=lambda vec: assembler.residual(vec, phi_lin),
-                system=lambda vec: assembler.system(vec, phi_lin),
+                jacobian=lambda vec: assembler.system(vec, phi_lin),
                 project=project,
                 block_split=2 * n,
             )

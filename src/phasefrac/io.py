@@ -215,7 +215,10 @@ def write_config_echo(path: str, config, params=None, mesh=None,
 
 
 def parse_flat_config(path: str) -> dict:
-    """Flat TOML-style key = value file; '#' starts a comment."""
+    """Flat TOML-style key = value file; '#' starts a comment.
+
+    A key given twice is an error, not a silent override.
+    """
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -229,6 +232,8 @@ def parse_flat_config(path: str) -> dict:
             val = val.strip()
             if not key:
                 raise ValueError(f"{path}:{lineno}: empty key")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = _parse_scalar(val)
     return out
 

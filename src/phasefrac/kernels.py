@@ -1,7 +1,10 @@
 """Element kernels for residual and Jacobian assembly.
 
-One vectorized numpy implementation of the per-cell math, evaluated for
-all cells at once.  The weak form is assembled per cell into dense
+One implementation of the per-cell math: vectorized numpy over all cells
+at once, reading the geometry from a :class:`~phasefrac.mesh.Mesh` and the
+constants from a :class:`~phasefrac.material.MaterialParams`.  The
+residual and the Jacobian are separate assemblies; each computes its
+quantity once.  The weak form is assembled per cell into dense
 12x12 / 12-entry blocks (dof order ux0,uy0,...,ux3,uy3,phi0..phi3) which
 an :class:`AssemblyPlan` scatters into one fixed CSR pattern.  Stress
 uses Voigt triples (s11, s22, s12) acting on strain triples
@@ -34,11 +37,14 @@ references for one quadrature point.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 import scipy.sparse as sp
 
-SPLIT_NONE = 0
-SPLIT_SPECTRAL = 1
+if TYPE_CHECKING:
+    from .material import MaterialParams
+    from .mesh import Mesh
 
 # Relative spread below which principal strains count as repeated and the
 # split degenerates to the trace-sign rule.
@@ -160,18 +166,19 @@ def _principal_strains(e11, e22, e12):
     )
 
 
-def _split_stress_numpy(e11, e22, e12, mu, lam, split):
-    """Vectorized stress split; arrays shaped (n_cells, 4)."""
+def _split_stress(e11, e22, e12, mu, lam, principal):
+    """Stress split; ``principal`` is :func:`_principal_strains` of the
+    same strains, or None for no split (sigma+ is the Hooke stress)."""
     tr = e11 + e22
     s11 = 2.0 * mu * e11 + lam * tr
     s22 = 2.0 * mu * e22 + lam * tr
     s12 = 2.0 * mu * e12
-    if split == SPLIT_NONE:
+    if principal is None:
         psi = s11 * e11 + s22 * e22 + 2.0 * s12 * e12
         z = np.zeros_like(s11)
         return s11, s22, s12, z, z, z, psi
 
-    iso, htr, l1, l2, lp1, lp2, c2, s2, cs = _principal_strains(e11, e22, e12)
+    iso, htr, l1, l2, lp1, lp2, c2, s2, cs = principal
     trp = np.maximum(tr, 0.0)
     ep11 = lp1 * c2 + lp2 * s2
     ep22 = lp1 * s2 + lp2 * c2
@@ -187,19 +194,20 @@ def _split_stress_numpy(e11, e22, e12, mu, lam, split):
     return sp11, sp22, sp12, s11 - sp11, s22 - sp22, s12 - sp12, psi
 
 
-def _split_tangent_numpy(e11, e22, e12, mu, lam, gdeg, split):
-    """Vectorized frozen-split tangent, shape (..., 3, 3)."""
-    shape = np.shape(e11)
+def _split_tangent(mu, lam, gdeg, principal):
+    """Frozen-split tangent, shape gdeg.shape + (3, 3); ``principal`` as
+    for :func:`_split_stress`."""
+    shape = np.shape(gdeg)
     c_full = np.zeros(shape + (3, 3))
     c_full[..., 0, 0] = lam + 2.0 * mu
     c_full[..., 1, 1] = lam + 2.0 * mu
     c_full[..., 0, 1] = lam
     c_full[..., 1, 0] = lam
     c_full[..., 2, 2] = mu
-    if split == SPLIT_NONE:
+    if principal is None:
         return gdeg[..., None, None] * c_full
 
-    iso, htr, l1, l2, lp1, lp2, c2, s2, cs = _principal_strains(e11, e22, e12)
+    iso, htr, l1, l2, lp1, lp2, c2, s2, cs = principal
     h1 = (l1 > 0.0).astype(float)
     h2 = (l2 > 0.0).astype(float)
     cc = np.where(iso, 0.0, (lp1 - lp2) / np.where(iso, 1.0, l1 - l2))
@@ -231,14 +239,15 @@ def _seq_dot(tab, vals):
     ) + tab[..., 3] * vals[..., 3]
 
 
-def _fields_at_qp(dx, dy, conn, u, phi, phit):
+def _fields_at_qp(mesh: Mesh, u, phi, phit):
     """Per-cell, per-qp strains and phase-field values (vectorized)."""
+    conn = mesh.cells
     ux = u[2 * conn]  # (n, 4)
     uy = u[2 * conn + 1]
     ph = phi[conn]
     pt = phit[conn]
-    jx = (2.0 / dx)[:, None]
-    jy = (2.0 / dy)[:, None]
+    jx = (2.0 / mesh.cell_size[:, 0])[:, None]
+    jy = (2.0 / mesh.cell_size[:, 1])[:, None]
     # dnx/dny: (n, q, a); last column zero-sum by construction
     dnx = _DXI_TAB[None, :, :] * jx[:, :, None]
     dny = _DETA_TAB[None, :, :] * jy[:, :, None]
@@ -257,19 +266,14 @@ def _fields_at_qp(dx, dy, conn, u, phi, phit):
     return dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy
 
 
-def residual_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
+def residual_blocks(mesh: Mesh, params: MaterialParams, u, phi, phit):
     """Per-cell residual blocks (n_cells, 12)."""
-    qp = _fields_at_qp(dx, dy, conn, u, phi, phit)
-    stress = _split_stress_numpy(*qp[2:5], mu, lam, split)
-    return _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres)
-
-
-def _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres):
-    """Residual blocks from the fields at the quadrature points and their
-    stress split, so the Jacobian assembly can share both."""
-    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = qp
-    sp11, sp22, sp12, sm11, sm22, sm12, psi = stress
-    det = (0.25 * dx * dy)[:, None]
+    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = _fields_at_qp(mesh, u, phi, phit)
+    mu, lam, gc, eps = params.mu, params.lam, params.gc, params.eps
+    kappa, pres = params.kappa, params.pressure
+    principal = None if params.split == "none" else _principal_strains(e11, e22, e12)
+    sp11, sp22, sp12, sm11, sm22, sm12, psi = _split_stress(e11, e22, e12, mu, lam, principal)
+    det = (0.25 * mesh.cell_size[:, 0] * mesh.cell_size[:, 1])[:, None]
     div_u = e11 + e22
     gdeg = (1.0 - kappa) * phitq**2 + kappa
     st11 = gdeg * sp11 + sm11
@@ -278,7 +282,7 @@ def _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres):
     pterm = phitq**2 * pres
     bulk = -(1.0 - kappa) * phiq * psi - 2.0 * phiq * pres * div_u + gc / eps * (1.0 - phiq)
 
-    F = np.zeros((len(dx), 12))
+    F = np.zeros((mesh.n_cells, 12))
     F[:, 0:8:2] = -np.einsum("nq,nqa->na", det * (st11 + pterm), dnx) - np.einsum(
         "nq,nqa->na", det * st12, dny
     )
@@ -292,19 +296,21 @@ def _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres):
     return F
 
 
-def system_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, split):
-    """Per-cell Jacobian (n_cells, 144) and residual (n_cells, 12) blocks."""
-    qp = _fields_at_qp(dx, dy, conn, u, phi, phit)
-    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = qp
-    stress = _split_stress_numpy(e11, e22, e12, mu, lam, split)
-    F = _residual_from_qp(dx, dy, qp, stress, gc, eps, kappa, pres)
-    w = 0.25 * dx * dy  # constant over the four unit-weight Gauss points
+def system_blocks(mesh: Mesh, params: MaterialParams, u, phi, phit):
+    """Per-cell Jacobian blocks (n_cells, 144)."""
+    dnx, dny, e11, e22, e12, phiq, phitq, gpx, gpy = _fields_at_qp(mesh, u, phi, phit)
+    mu, lam, gc, eps = params.mu, params.lam, params.gc, params.eps
+    kappa, pres = params.kappa, params.pressure
+    # decomposed once, shared by the stress split and its tangent
+    principal = None if params.split == "none" else _principal_strains(e11, e22, e12)
+    sp11, sp22, sp12, _, _, _, psi = _split_stress(e11, e22, e12, mu, lam, principal)
+    # constant over the four unit-weight Gauss points
+    w = 0.25 * mesh.cell_size[:, 0] * mesh.cell_size[:, 1]
     div_u = e11 + e22
-    sp11, sp22, sp12, _, _, _, psi = stress
     gdeg = (1.0 - kappa) * phitq**2 + kappa
-    D = _split_tangent_numpy(e11, e22, e12, mu, lam, gdeg, split)  # (n,q,3,3)
+    D = _split_tangent(mu, lam, gdeg, principal)  # (n,q,3,3)
 
-    n = conn.shape[0]
+    n = mesh.n_cells
     # Displacement basis in Voigt form: (n, q, 8, 3)
     bv = np.zeros((n, 4, 8, 3))
     bv[:, :, 0:8:2, 0] = dnx
@@ -330,4 +336,4 @@ def system_blocks(dx, dy, conn, u, phi, phit, mu, lam, gc, eps, kappa, pres, spl
         np.einsum("n,nqi,nqj->nij", w, dnx, dnx)
         + np.einsum("n,nqi,nqj->nij", w, dny, dny)
     )
-    return K.reshape(n, 144), F
+    return K.reshape(n, 144)

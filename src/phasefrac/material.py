@@ -45,10 +45,6 @@ class MaterialParams:
             raise ValueError(f"unknown split {self.split!r}")
 
     @property
-    def split_code(self) -> int:
-        return kernels.SPLIT_NONE if self.split == "none" else kernels.SPLIT_SPECTRAL
-
-    @property
     def youngs(self) -> float:
         return self.mu * (3.0 * self.lam + 2.0 * self.mu) / (self.lam + self.mu)
 
@@ -92,48 +88,34 @@ def extrapolate_phase(
 class Assembler:
     """Residual/Jacobian assembly for one mesh and parameter set.
 
-    Holds the kernel input arrays and the scatter plan; the heavy work
-    happens in :mod:`phasefrac.kernels`.
+    Holds the scatter plan; the kernels in :mod:`phasefrac.kernels` read
+    the mesh and the parameters directly.
     """
 
     mesh: Mesh
     dofmap: DofMap
     params: MaterialParams
     plan: kernels.AssemblyPlan = field(init=False)
-    _dx: np.ndarray = field(init=False)
-    _dy: np.ndarray = field(init=False)
-    _conn: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.plan = kernels.AssemblyPlan(self.dofmap.cell_dofs, self.dofmap.n_dofs)
-        self._dx = np.ascontiguousarray(self.mesh.cell_size[:, 0])
-        self._dy = np.ascontiguousarray(self.mesh.cell_size[:, 1])
-        self._conn = np.ascontiguousarray(self.mesh.cells)
-
-    def _fields(self, state: np.ndarray, phi_lin: np.ndarray):
-        n = self.dofmap.n_nodes
-        u = np.ascontiguousarray(state[: 2 * n])
-        phi = np.ascontiguousarray(state[2 * n:])
-        return u, phi, np.ascontiguousarray(phi_lin)
 
     def residual(self, state: np.ndarray, phi_lin: np.ndarray) -> np.ndarray:
         """Assembled right-hand side F at the given state."""
-        p = self.params
-        u, phi, phit = self._fields(state, phi_lin)
+        n = self.dofmap.n_nodes
         blocks = kernels.residual_blocks(
-            self._dx, self._dy, self._conn, u, phi, phit,
-            p.mu, p.lam, p.gc, p.eps, p.kappa, p.pressure, p.split_code,
+            self.mesh, self.params, state[: 2 * n], state[2 * n:], phi_lin
         )
         return self.plan.vector_from_blocks(blocks)
 
-    def system(self, state: np.ndarray, phi_lin: np.ndarray):
-        """Jacobian matrix and residual vector at the given state."""
-        p = self.params
-        u, phi, phit = self._fields(state, phi_lin)
-        kblocks, fblocks = kernels.system_blocks(
-            self._dx, self._dy, self._conn, u, phi, phit,
-            p.mu, p.lam, p.gc, p.eps, p.kappa, p.pressure, p.split_code,
+    def system(self, state: np.ndarray, phi_lin: np.ndarray) -> sp.csr_matrix:
+        """Jacobian matrix at the given state, and nothing else.
+
+        The residual at the same state is :meth:`residual`; the Newton
+        engine already holds it, so it is not assembled again here.
+        """
+        n = self.dofmap.n_nodes
+        blocks = kernels.system_blocks(
+            self.mesh, self.params, state[: 2 * n], state[2 * n:], phi_lin
         )
-        matrix = self.plan.matrix_from_blocks(kblocks)
-        rhs = self.plan.vector_from_blocks(fblocks)
-        return matrix, rhs
+        return self.plan.matrix_from_blocks(blocks)

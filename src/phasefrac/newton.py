@@ -42,22 +42,6 @@ from .linsolve import GmresResult, solve_block_triangular
 CASE_CHOICES = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class ActiveSetMask:
-    """Boolean flag per constrained dof; true means active (projected)."""
-
-    flags: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.flags.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ActiveSetMask):
-            return NotImplemented
-        return np.array_equal(self.flags, other.flags)
-
-
 @dataclass
 class SolverSettings:
     case: int = 2
@@ -105,8 +89,11 @@ def classify_active_set(
     settings: SolverSettings,
     classifiable: Optional[np.ndarray] = None,
     previous: Optional[np.ndarray] = None,
-) -> ActiveSetMask:
+) -> np.ndarray:
     """Active set {i : B_ii^-1 R_i + c (phi_i - phi_old_i) > 0}.
+
+    Returns one boolean flag per constrained dof; true means active
+    (projected onto the bound).
 
     ``residual_phi`` holds the phase-field rows of the full (unreduced)
     residual.  For case 2 the constant is the per-dof adaptive value.
@@ -143,7 +130,7 @@ def classify_active_set(
         flags[tied] = previous[tied]
     if classifiable is not None:
         flags &= classifiable
-    return ActiveSetMask(flags)
+    return flags
 
 
 def kkt_check(
@@ -201,10 +188,12 @@ def factor_block(block: sp.spmatrix) -> sps.SuperLU:
 class BoundSystem:
     """A bound-constrained nonlinear system the PDAS engine can solve.
 
-    ``residual``/``system`` evaluate the full-size right-hand side and
-    Jacobian.  ``P`` is the static constraint operator: the hanging-node
-    interpolation with the columns of Dirichlet dofs dropped (the
-    identity for a system without either).  Bound-constrained dofs with
+    ``residual`` evaluates the full-size right-hand side and ``jacobian``
+    the full-size Jacobian matrix alone: the engine condenses the
+    Jacobian with the residual it already holds for the same state (see
+    :func:`pdas_solve`).  ``P`` is the static constraint operator: the
+    hanging-node interpolation with the columns of Dirichlet dofs dropped
+    (the identity for a system without either).  Bound-constrained dofs with
     an empty column of P are never classified.
     """
 
@@ -213,7 +202,7 @@ class BoundSystem:
     mass_diag: np.ndarray
     P: sp.csr_matrix
     residual: Callable[[np.ndarray], np.ndarray]
-    system: Callable[[np.ndarray], tuple]
+    jacobian: Callable[[np.ndarray], sp.spmatrix]
     project: Optional[Callable[[np.ndarray], None]] = None  # post-update hook
     block_split: int = 0  # leading-block size of the two-stage solve
 
@@ -233,6 +222,12 @@ def pdas_solve(
     columns dropped, the Jacobian is condensed to ``Pa^T J Pa`` (unit
     diagonal on eliminated dofs), residuals are reduced by ``Pa^T`` and
     updates expanded by ``Pa``.
+
+    The right-hand side of each linear solve is the held residual ``raw``
+    that also classified the active set, not a second assembly.  This is
+    exact: ``raw`` is always the residual at ``state``.  It is evaluated
+    on entry, again after moved bound dofs are projected, and by the line
+    search for the trial that then becomes ``state``.
 
     The reduced system is block lower triangular (the displacement rows
     see the frozen linearization, not the phase field), so it is solved
@@ -265,14 +260,13 @@ def pdas_solve(
     # line search computed for the accepted trial
     raw = system.residual(state)
     while True:
-        prev_mask = recent[-1] if recent else None
-        mask = classify_active_set(
+        prev = recent[-1] if recent else None
+        act = classify_active_set(
             raw[pdofs], system.mass_diag, state[pdofs], upper, settings,
-            classifiable,
-            previous=prev_mask.flags if prev_mask is not None else None,
+            classifiable, previous=prev,
         )
-        act = mask.flags
-        if Pa is None or mask != prev_mask:
+        same = prev is not None and np.array_equal(act, prev)
+        if Pa is None or not same:
             Pa = drop_columns(system.P, pdofs[act])
         moved = act & (state[pdofs] != upper)
         if moved.any():
@@ -289,11 +283,15 @@ def pdas_solve(
             # At entry (no previous mask) the classification of a warm
             # state counts as stable; a converged state is left untouched
             # instead of being jittered by noise-sized updates.
-            stable = prev_mask is None or mask == prev_mask
+            stable = prev is None or same
             # Two full periods of a two-mask cycle: the toggling dofs have
             # multipliers and bound gaps at rounding level, and neither
             # mask is left by further steps.
-            cycling = len(recent) == 3 and mask == recent[-2] and recent[-1] == recent[0]
+            cycling = (
+                len(recent) == 3
+                and np.array_equal(act, recent[-2])
+                and np.array_equal(recent[-1], recent[0])
+            )
             done = small and (stable or cycling)
             reason = "converged" if stable else "active_set_cycle"
         elif settings.case == 3:
@@ -315,8 +313,7 @@ def pdas_solve(
             report.final_residual = rnorm
             break
 
-        matrix, rhs = system.system(state)
-        mat_red, rhs_red = condense_system(matrix, rhs, Pa)
+        mat_red, rhs_red = condense_system(system.jacobian(state), raw, Pa)
         lead = mat_red[:split, :split]
         coupling = mat_red[split:, :split]
         trail = mat_red[split:, split:]
@@ -365,11 +362,11 @@ def pdas_solve(
 
         report.iterations += 1
         report.residual_history.append(tnorm)
-        report.active_set_sizes.append(mask.size)
+        report.active_set_sizes.append(int(act.sum()))
         report.gmres_iterations.append(sol.n_iters)
         report.stage_iterations.append(stage_iters)
         report.factor_fill.append(fill)
-        recent.append(mask)
+        recent.append(act)
 
     report.lambda_mult = lam
     report.active = act.copy()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import DofMap
-from .kernels import _G, _fields_at_qp, _N_TAB
+from .kernels import _G, _fields_at_qp, _N_TAB, _split_stress
 from .material import MaterialParams
 from .mesh import EDGE_CORNERS, EDGE_NORMALS, Mesh
 
@@ -40,11 +40,7 @@ def total_crack_volume(mesh: Mesh, dofmap: DofMap, state: np.ndarray) -> float:
     """TCV = integral of u . grad(phi); positive for an opening crack."""
     u, phi = _split_state(dofmap, state)
     conn = mesh.cells
-    dnx, dny, *_ , gpx, gpy = _fields_at_qp(
-        np.ascontiguousarray(mesh.cell_size[:, 0]),
-        np.ascontiguousarray(mesh.cell_size[:, 1]),
-        conn, u, phi, phi,
-    )
+    *_, gpx, gpy = _fields_at_qp(mesh, u, phi, phi)
     uxq = np.einsum("qa,na->nq", _N_TAB, u[2 * conn])
     uyq = np.einsum("qa,na->nq", _N_TAB, u[2 * conn + 1])
     w = 0.25 * mesh.cell_size[:, 0] * mesh.cell_size[:, 1]
@@ -102,10 +98,7 @@ def boundary_load(
     e11 = np.einsum("fqa,fa->fq", dnx, ux)
     e22 = np.einsum("fqa,fa->fq", dny, uy)
     e12 = 0.5 * (np.einsum("fqa,fa->fq", dny, ux) + np.einsum("fqa,fa->fq", dnx, uy))
-    tr = e11 + e22
-    s11 = 2.0 * params.mu * e11 + params.lam * tr
-    s22 = 2.0 * params.mu * e22 + params.lam * tr
-    s12 = 2.0 * params.mu * e12
+    s11, s22, s12 = _split_stress(e11, e22, e12, params.mu, params.lam, None)[:3]
     nx, ny = EDGE_NORMALS[edges, 0][:, None], EDGE_NORMALS[edges, 1][:, None]
     # half the facet length per Gauss weight
     ds = 0.5 * np.where(edges % 2 == 0, hx, hy)[:, None]

@@ -27,8 +27,8 @@ def obstacle_system(A, b, ub):
     def residual(state):
         return b - A @ state
 
-    def system(state):
-        return A.copy(), b - A @ state
+    def jacobian(state):
+        return A.copy()
 
     return BoundSystem(
         phi_dofs=np.arange(n),
@@ -36,7 +36,7 @@ def obstacle_system(A, b, ub):
         mass_diag=np.ones(n),
         P=sp.identity(n, format="csr"),
         residual=residual,
-        system=system,
+        jacobian=jacobian,
     )
 
 

@@ -15,13 +15,14 @@ def split_stress(e11, e22, e12, mu, lam, split):
 
     Returns (sp11, sp22, sp12, sm11, sm22, sm12, psi) where sigma+ and
     sigma- add up to the full stress exactly and psi = sigma+ : e.
-    Reference for ``kernels._split_stress_numpy``.
+    ``split`` is "none" or "spectral", as in ``MaterialParams.split``.
+    Reference for ``kernels._split_stress``.
     """
     tr = e11 + e22
     s11 = 2.0 * mu * e11 + lam * tr
     s22 = 2.0 * mu * e22 + lam * tr
     s12 = 2.0 * mu * e12
-    if split == 0:
+    if split == "none":
         psi = s11 * e11 + s22 * e22 + 2.0 * s12 * e12
         return s11, s22, s12, 0.0, 0.0, 0.0, psi
 
@@ -64,14 +65,14 @@ def split_tangent(e11, e22, e12, mu, lam, gdeg, split, D):
     The eigenstructure is evaluated at the given strain and then frozen,
     so D is constant during one Newton step.  dsigma- is formed as the
     exact complement of dsigma+ within the full isotropic tangent.
-    Reference for ``kernels._split_tangent_numpy``.
+    Reference for ``kernels._split_tangent``.
     """
     c_full00 = lam + 2.0 * mu
     c_full01 = lam
     for i in range(3):
         for j in range(3):
             D[i, j] = 0.0
-    if split == 0:
+    if split == "none":
         D[0, 0] = gdeg * c_full00
         D[0, 1] = gdeg * c_full01
         D[1, 0] = gdeg * c_full01

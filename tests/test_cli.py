@@ -1,5 +1,6 @@
 """Command-line front end: exit codes and the files a run writes."""
 
+import argparse
 import os
 
 import pytest
@@ -106,3 +107,46 @@ def test_config_int_widens_to_float_field():
 def test_missing_config_file_exits_config_error(tmp_path):
     code = cli.main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert code == cli.EXIT_CONFIG
+
+
+def test_duplicate_config_key_exits_config_error(tmp_path, caplog):
+    cfg = write_config(tmp_path, "case = 1\ncase = 3\n")
+    assert cli.main(["run", "--config", cfg, *COARSE_LPANEL]) == cli.EXIT_CONFIG
+    assert "duplicate key 'case'" in caplog.text
+
+
+def _run_flags():
+    parser = argparse.ArgumentParser()
+    cli._add_run_arguments(parser)
+    return [
+        action for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+
+
+def _flag_value(action):
+    """A command-line value for the flag that differs from its default."""
+    if action.choices:
+        return str(list(action.choices)[-1])
+    if action.type is int:
+        return "3"
+    if action.type is float:
+        return "0.25"
+    return "some/out/dir"
+
+
+@pytest.mark.parametrize("action", _run_flags(), ids=lambda a: a.option_strings[0])
+def test_every_run_flag_reaches_run_config(monkeypatch, action):
+    built = []
+
+    def stop(config):
+        built.append(config)
+        raise ValueError("stop after the configuration is built")
+
+    monkeypatch.setattr(cli, "build_problem", stop)
+    text = _flag_value(action)
+    assert cli.main(["run", action.option_strings[0], text]) == cli.EXIT_CONFIG
+    field = cli._FLAG_ALIASES.get(action.dest, action.dest)
+    value = action.type(text) if action.type else text
+    assert getattr(built[0], field) == value
+    assert getattr(cli.RunConfig(), field) != value

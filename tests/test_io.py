@@ -100,3 +100,10 @@ def test_parse_flat_config_rejects_line_without_equals(tmp_path):
     path.write_text("case 3\n")
     with pytest.raises(ValueError, match="key = value"):
         pio.parse_flat_config(str(path))
+
+
+def test_parse_flat_config_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("case = 1\ntol_newton = 1e-8\ncase = 3\n")
+    with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'case'"):
+        pio.parse_flat_config(str(path))

@@ -143,7 +143,7 @@ def random_state(dofmap, rng, scale=1e-2):
 
 
 def test_split_none_returns_full_stress():
-    plus, minus, psi = split_voigt(0.3, -0.1, 0.2, 0.42, 0.28, kernels.SPLIT_NONE)
+    plus, minus, psi = split_voigt(0.3, -0.1, 0.2, 0.42, 0.28, "none")
     tr = 0.3 - 0.1
     full = np.array(
         [
@@ -156,13 +156,13 @@ def test_split_none_returns_full_stress():
 
 
 def test_split_biaxial_tension_all_plus():
-    plus, minus, _ = split_voigt(1.0, 1.0, 0.0, 0.42, 0.28, kernels.SPLIT_SPECTRAL)
+    plus, minus, _ = split_voigt(1.0, 1.0, 0.0, 0.42, 0.28, "spectral")
     assert np.all(minus == 0.0)
     assert np.allclose(plus, (2 * 0.42 + 2 * 0.28) * np.eye(2))
 
 
 def test_split_biaxial_compression_all_minus():
-    plus, minus, psi = split_voigt(-1.0, -1.0, 0.0, 0.42, 0.28, kernels.SPLIT_SPECTRAL)
+    plus, minus, psi = split_voigt(-1.0, -1.0, 0.0, 0.42, 0.28, "spectral")
     assert np.all(plus == 0.0)
     assert psi == 0.0
     assert np.allclose(minus, -(2 * 0.42 + 2 * 0.28) * np.eye(2))
@@ -170,7 +170,7 @@ def test_split_biaxial_compression_all_minus():
 
 def test_split_pure_shear_matches_eigh_oracle():
     e = np.array([[0.0, 0.5], [0.5, 0.0]])
-    plus, minus, _ = split_voigt(0.0, 0.0, 0.5, 0.42, 0.28, kernels.SPLIT_SPECTRAL)
+    plus, minus, _ = split_voigt(0.0, 0.0, 0.5, 0.42, 0.28, "spectral")
     ref_plus, ref_minus = eigh_split(e, 0.42, 0.28)
     assert np.allclose(plus, ref_plus, atol=1e-14)
     assert np.allclose(minus, ref_minus, atol=1e-14)
@@ -181,7 +181,7 @@ def test_split_random_states_match_eigh_oracle():
     for _ in range(200):
         e11, e22, e12 = rng.standard_normal(3)
         mu, lam = rng.uniform(0.1, 2.0, 2)
-        plus, minus, psi = split_voigt(e11, e22, e12, mu, lam, kernels.SPLIT_SPECTRAL)
+        plus, minus, psi = split_voigt(e11, e22, e12, mu, lam, "spectral")
         e = np.array([[e11, e12], [e12, e22]])
         ref_plus, ref_minus = eigh_split(e, mu, lam)
         assert np.allclose(plus, ref_plus, atol=1e-12)
@@ -193,7 +193,7 @@ def test_split_sum_identity_exact():
     rng = np.random.default_rng(8)
     for _ in range(200):
         e11, e22, e12 = rng.standard_normal(3)
-        plus, minus, _ = split_voigt(e11, e22, e12, 0.42, 0.28, kernels.SPLIT_SPECTRAL)
+        plus, minus, _ = split_voigt(e11, e22, e12, 0.42, 0.28, "spectral")
         tr = e11 + e22
         full = 2 * 0.42 * np.array([[e11, e12], [e12, e22]]) + 0.28 * tr * np.eye(2)
         assert np.allclose(plus + minus, full, rtol=0, atol=1e-12)
@@ -207,9 +207,9 @@ def test_split_isotropy_under_rotation():
         q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         e = np.array([[e11, e12], [e12, e22]])
         er = q @ e @ q.T
-        plus, minus, _ = split_voigt(e11, e22, e12, 0.42, 0.28, kernels.SPLIT_SPECTRAL)
+        plus, minus, _ = split_voigt(e11, e22, e12, 0.42, 0.28, "spectral")
         plus_r, minus_r, _ = split_voigt(
-            er[0, 0], er[1, 1], er[0, 1], 0.42, 0.28, kernels.SPLIT_SPECTRAL
+            er[0, 0], er[1, 1], er[0, 1], 0.42, 0.28, "spectral"
         )
         assert np.allclose(plus_r, q @ plus @ q.T, atol=1e-12)
         assert np.allclose(minus_r, q @ minus @ q.T, atol=1e-12)
@@ -218,9 +218,9 @@ def test_split_isotropy_under_rotation():
 def test_split_repeated_eigenvalues_trace_rule():
     # spherical strain sits on the degenerate branch; tension keeps all of
     # the stress in sigma+, compression in sigma-
-    plus, minus, _ = split_voigt(0.5, 0.5, 0.0, 1.0, 1.0, kernels.SPLIT_SPECTRAL)
+    plus, minus, _ = split_voigt(0.5, 0.5, 0.0, 1.0, 1.0, "spectral")
     assert np.all(minus == 0.0) and plus[0, 0] > 0
-    plus, minus, _ = split_voigt(-0.5, -0.5, 0.0, 1.0, 1.0, kernels.SPLIT_SPECTRAL)
+    plus, minus, _ = split_voigt(-0.5, -0.5, 0.0, 1.0, 1.0, "spectral")
     assert np.all(plus == 0.0) and minus[0, 0] < 0
 
 
@@ -231,12 +231,12 @@ def test_tangent_is_fd_derivative_of_split_stress():
     for _ in range(50):
         e11, e22, e12 = rng.standard_normal(3)
         D = np.zeros((3, 3))
-        split_tangent(e11, e22, e12, mu, lam, gdeg, kernels.SPLIT_SPECTRAL, D)
+        split_tangent(e11, e22, e12, mu, lam, gdeg, "spectral", D)
 
         def stress(v):
             # v is the strain triple (e11, e22, 2 e12)
             plus, minus, _ = split_voigt(
-                v[0], v[1], 0.5 * v[2], mu, lam, kernels.SPLIT_SPECTRAL
+                v[0], v[1], 0.5 * v[2], mu, lam, "spectral"
             )
             sig = gdeg * plus + minus
             return np.array([sig[0, 0], sig[1, 1], sig[0, 1]])
@@ -253,7 +253,7 @@ def test_tangent_is_fd_derivative_of_split_stress():
 
 def test_tangent_none_is_degraded_hooke():
     D = np.zeros((3, 3))
-    split_tangent(0.1, -0.2, 0.05, 0.42, 0.28, 0.5, kernels.SPLIT_NONE, D)
+    split_tangent(0.1, -0.2, 0.05, 0.42, 0.28, 0.5, "none", D)
     hooke = np.array(
         [[0.28 + 0.84, 0.28, 0.0], [0.28, 0.28 + 0.84, 0.0], [0.0, 0.0, 0.42]]
     )
@@ -265,23 +265,21 @@ def test_numpy_split_twins_agree_with_scalar_path():
     e11 = rng.standard_normal((5, 4))
     e22 = rng.standard_normal((5, 4))
     e12 = rng.standard_normal((5, 4))
-    vec = kernels._split_stress_numpy(e11, e22, e12, 0.42, 0.28, kernels.SPLIT_SPECTRAL)
-    tan = kernels._split_tangent_numpy(
-        e11, e22, e12, 0.42, 0.28, np.full((5, 4), 0.37), kernels.SPLIT_SPECTRAL
-    )
-    for i in range(5):
-        for q in range(4):
-            ref = split_stress(
-                e11[i, q], e22[i, q], e12[i, q], 0.42, 0.28, kernels.SPLIT_SPECTRAL
-            )
-            for comp, refc in zip(vec, ref):
-                assert abs(comp[i, q] - refc) < 1e-13
-            D = np.zeros((3, 3))
-            split_tangent(
-                e11[i, q], e22[i, q], e12[i, q], 0.42, 0.28, 0.37,
-                kernels.SPLIT_SPECTRAL, D,
-            )
-            assert np.allclose(tan[i, q], D, atol=1e-13)
+    for split, principal in (
+        ("none", None), ("spectral", kernels._principal_strains(e11, e22, e12))
+    ):
+        vec = kernels._split_stress(e11, e22, e12, 0.42, 0.28, principal)
+        tan = kernels._split_tangent(0.42, 0.28, np.full((5, 4), 0.37), principal)
+        for i in range(5):
+            for q in range(4):
+                ref = split_stress(e11[i, q], e22[i, q], e12[i, q], 0.42, 0.28, split)
+                for comp, refc in zip(vec, ref):
+                    assert abs(comp[i, q] - refc) < 1e-13
+                D = np.zeros((3, 3))
+                split_tangent(
+                    e11[i, q], e22[i, q], e12[i, q], 0.42, 0.28, 0.37, split, D,
+                )
+                assert np.allclose(tan[i, q], D, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -326,22 +324,13 @@ def test_residual_broken_unloaded_single_term():
 
 
 @pytest.mark.parametrize("split", ["none", "spectral"])
-def test_system_rhs_equals_residual(split):
-    _, dofmap, asm = small_assembler(split)
-    rng = np.random.default_rng(13)
-    state, phi_lin = random_state(dofmap, rng)
-    _, rhs = asm.system(state, phi_lin)
-    assert np.allclose(rhs, asm.residual(state, phi_lin), rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("split", ["none", "spectral"])
 def test_jacobian_matches_central_differences(split):
     # M = -dF/dU with phi_lin frozen; checked along random directions
     mesh, dofmap, asm = small_assembler(split, nx=3, ny=3)
     rng = np.random.default_rng(14)
     for trial in range(5):
         state, phi_lin = random_state(dofmap, rng)
-        matrix, _ = asm.system(state, phi_lin)
+        matrix = asm.system(state, phi_lin)
         v = rng.standard_normal(dofmap.n_dofs)
         v /= np.linalg.norm(v)
         delta = np.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(state))
@@ -358,7 +347,7 @@ def test_jacobian_u_phi_block_zero():
     _, dofmap, asm = small_assembler("spectral")
     rng = np.random.default_rng(15)
     state, phi_lin = random_state(dofmap, rng, scale=0.1)
-    matrix, _ = asm.system(state, phi_lin)
+    matrix = asm.system(state, phi_lin)
     n = dofmap.n_nodes
     block = matrix.tocsr()[: 2 * n, 2 * n:]
     assert block.nnz > 0  # structurally present
@@ -371,7 +360,7 @@ def test_jacobian_phiphi_screened_laplacian_spd():
     n = dofmap.n_nodes
     state = np.zeros(3 * n)
     state[2 * n:] = 1.0
-    matrix, _ = asm.system(state, np.ones(n))
+    matrix = asm.system(state, np.ones(n))
     block = matrix.tocsr()[2 * n:, 2 * n:].toarray()
     assert np.allclose(block, block.T, atol=1e-14)
     vals = np.linalg.eigvalsh(block)
@@ -384,7 +373,7 @@ def test_jacobian_uu_spd_none_split():
     _, dofmap, asm = small_assembler("none", pressure=0.0)
     rng = np.random.default_rng(16)
     state, phi_lin = random_state(dofmap, rng)
-    matrix, _ = asm.system(state, phi_lin)
+    matrix = asm.system(state, phi_lin)
     n = dofmap.n_nodes
     block = matrix.tocsr()[: 2 * n, : 2 * n].toarray()
     assert np.allclose(block, block.T, atol=1e-10)

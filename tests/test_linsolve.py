@@ -91,7 +91,8 @@ def sneddon_phi_block():
     state = np.empty(3 * n)
     state[: 2 * n] = 1e-3 * rng.standard_normal(2 * n)
     state[2 * n:] = rng.uniform(0.5, 1.0, n)
-    matrix, rhs = asm.system(state, state[2 * n:].copy())
+    phi_lin = state[2 * n:].copy()
+    matrix, rhs = asm.system(state, phi_lin), asm.residual(state, phi_lin)
     return matrix.tocsr()[2 * n:, 2 * n:], rhs[2 * n:]
 
 
@@ -184,7 +185,8 @@ def test_block_triangular_matches_monolithic_on_assembled_system(monkeypatch):
     state = np.empty(3 * n)
     state[: 2 * n] = 1e-3 * rng.standard_normal(2 * n)
     state[2 * n:] = rng.uniform(0.4, 1.0, n)
-    matrix, rhs = asm.system(state, state[2 * n:].copy())
+    phi_lin = state[2 * n:].copy()
+    matrix, rhs = asm.system(state, phi_lin), asm.residual(state, phi_lin)
     fixed = np.zeros(dofmap.n_dofs, dtype=bool)
     left = np.isclose(mesh.nodes[:, 0], -1.0)
     fixed[2 * np.flatnonzero(left)] = True
@@ -230,7 +232,8 @@ def condensed_preset_system(config):
     P = constraint_operator(dofmap, problem.constraints, problem.fixed)
     act = result.increments[-1].report.active
     Pa = drop_columns(P, 2 * n + np.flatnonzero(act))
-    matrix, rhs = Assembler(mesh, dofmap, problem.params).system(state, state[2 * n:])
+    asm = Assembler(mesh, dofmap, problem.params)
+    matrix, rhs = asm.system(state, state[2 * n:]), asm.residual(state, state[2 * n:])
     mat_red, rhs_red = condense_system(matrix, rhs, Pa)
     return mat_red, rhs_red, 2 * n
 

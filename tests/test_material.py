@@ -88,8 +88,3 @@ def test_extrapolation_rejects_coincident_times():
     a = np.zeros(2)
     with pytest.raises(ValueError):
         extrapolate_phase(a, a, t_now=2.0, t_prev=1.0, t_prev2=1.0)
-
-
-def test_split_code_mapping():
-    assert make_params(split="none").split_code == 0
-    assert make_params(split="spectral").split_code == 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phasefrac.newton import (
-    ActiveSetMask,
     SolverSettings,
     classify_active_set,
     kkt_check,
@@ -39,12 +38,12 @@ def test_classification_positive_criterion_is_active():
     # B_ii = 2, R_i = 4 gives lambda = 2; with c = 1 and dphi = -1 the
     # criterion is 2 - 1 = 1 > 0, so the dof is active
     mask = classify([4.0], [2.0], [0.0], [1.0], case=1, c=1.0)
-    assert mask.flags.tolist() == [True]
+    assert mask.tolist() == [True]
 
 
 def test_classification_negative_criterion_is_inactive():
     mask = classify([0.5], [1.0], [0.0], [1.0], case=1, c=1.0)
-    assert mask.flags.tolist() == [False]
+    assert mask.tolist() == [False]
 
 
 def test_classification_tie_keeps_previous_label():
@@ -53,18 +52,18 @@ def test_classification_tie_keeps_previous_label():
         [0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.5, 0.5],
         case=1, c=1.0, previous=prev,
     )
-    assert mask.flags.tolist() == [True, False]
+    assert mask.tolist() == [True, False]
 
 
 def test_classification_tie_without_history_stays_inactive():
     mask = classify([0.0], [1.0], [0.5], [0.5], case=1, c=1.0)
-    assert mask.flags.tolist() == [False]
+    assert mask.tolist() == [False]
 
 
 def test_classification_case2_releases_feasible_positive_multiplier():
     # adaptive c = 2|lam/dphi| turns lam + c*dphi into -lam < 0
     mask = classify([2.0], [1.0], [0.0], [1.0], case=2, c=1.0)
-    assert mask.flags.tolist() == [False]
+    assert mask.tolist() == [False]
 
 
 # The semismooth complementarity function the classification applies is
@@ -79,20 +78,20 @@ def complementarity_from_mask(lam, dphi, c, active):
 def test_complementarity_inactive_point():
     # feasible, zero multiplier: inactive with C = lam = 0
     mask = classify([0.0], [1.0], [-0.3], [0.0], case=1, c=1.0)
-    assert mask.flags.tolist() == [False]
+    assert mask.tolist() == [False]
 
 
 def test_complementarity_active_point():
     # on the bound with a positive multiplier: active with C = -c dphi = 0
     mask = classify([2.0], [1.0], [0.0], [0.0], case=1, c=5.0)
-    assert mask.flags.tolist() == [True]
+    assert mask.tolist() == [True]
 
 
 def test_complementarity_infeasible_multiplier():
     # on the bound with a negative multiplier: released, C = lam = -1
     mask = classify([-1.0], [1.0], [0.0], [0.0], case=1, c=5.0)
-    assert mask.flags.tolist() == [False]
-    assert complementarity_from_mask(-1.0, 0.0, 5.0, mask.flags)[0] == -1.0
+    assert mask.tolist() == [False]
+    assert complementarity_from_mask(-1.0, 0.0, 5.0, mask)[0] == -1.0
 
 
 def kkt_triple(lam, dphi):
@@ -107,30 +106,23 @@ def test_complementarity_equals_kkt_on_grid():
     lam, dphi = (a.ravel() for a in np.meshgrid(grid, grid))
     for c in (0.1, 0.5, 1.0, 10.0, 1e4):
         mask = classify(lam, np.ones_like(lam), dphi, np.zeros_like(dphi), case=1, c=c)
-        zero = complementarity_from_mask(lam, dphi, c, mask.flags) == 0.0
+        zero = complementarity_from_mask(lam, dphi, c, mask) == 0.0
         assert np.array_equal(zero, kkt_triple(lam, dphi)), c
 
 
 def test_adaptive_c_formula_and_fallback():
     # infeasible dof with lam = -3, dphi = 1.5: the adaptive c = 2|lam/dphi|
     # = 4 gives -3 + 6 > 0 (active), where the constant c = 1 gives -1.5
-    assert classify([-3.0], [1.0], [1.5], [0.0], case=2, c=1.0).flags.tolist() == [True]
-    assert classify([-3.0], [1.0], [1.5], [0.0], case=1, c=1.0).flags.tolist() == [False]
+    assert classify([-3.0], [1.0], [1.5], [0.0], case=2, c=1.0).tolist() == [True]
+    assert classify([-3.0], [1.0], [1.5], [0.0], case=1, c=1.0).tolist() == [False]
     # a multiplier at rounding level next to a large one falls back to the
     # constant c: 1e-14 + 1 * 0.5 > 0 keeps the violated bound active,
     # where 2|lam/dphi| = 4e-14 would leave it a tie, hence inactive
     mask = classify([1.0, 1e-14], [1.0, 1.0], [-1.0, 0.5], [0.0, 0.0], case=2, c=1.0)
-    assert mask.flags.tolist() == [False, True]
+    assert mask.tolist() == [False, True]
     # on the bound (dphi = 0) the formula is undefined; the criterion is lam
     mask = classify([3.0, -3.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], case=2, c=99.0)
-    assert mask.flags.tolist() == [True, False]
-
-
-def test_active_set_mask_equality_and_size():
-    a = ActiveSetMask(np.array([True, False, True]))
-    b = ActiveSetMask(np.array([True, False, True]))
-    assert a == b and a.size == 2
-    assert a != ActiveSetMask(np.array([False, False, True]))
+    assert mask.tolist() == [True, False]
 
 
 # ----------------------------------------------------------------------
